@@ -15,7 +15,6 @@
 // analysis still sees the capability held across the wait's predicate.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
@@ -133,19 +132,6 @@ class CondVar {
     std::unique_lock<std::mutex> native(mutex.inner_, std::adopt_lock);
     cv_.wait(native, std::move(pred));
     native.release();
-  }
-
-  /// Timed wait (steady clock, so it never jumps with wall-clock
-  /// adjustments). Returns false on timeout. The supervisor's tick:
-  /// sleep up to `timeout` but wake immediately when notified.
-  template <typename Rep, typename Period>
-  bool wait_for(Mutex& mutex,
-                const std::chrono::duration<Rep, Period>& timeout)
-      REPRO_REQUIRES(mutex) {
-    std::unique_lock<std::mutex> native(mutex.inner_, std::adopt_lock);
-    const std::cv_status status = cv_.wait_for(native, timeout);
-    native.release();
-    return status == std::cv_status::no_timeout;
   }
 
   void notify_one() noexcept { cv_.notify_one(); }

@@ -145,24 +145,12 @@ class PipelineShard {
   /// there is no window to batch it with.
   std::optional<ProfileRevision> flush_builder(std::size_t slot);
 
-  /// Rebuild the shard's streaming state from last-good after a worker
-  /// restart (ISSUE 8 supervisor): every die gets a fresh sanitizer
-  /// and a fresh SampleStream with the existing builders re-attached.
-  /// The builders themselves — the accumulated model state — are kept:
-  /// their revisions are the last-good the restarted shard resumes
-  /// from. The window a dying worker was mid-way through may have left
-  /// sanitizer history or stream counters half-advanced; resetting
-  /// them trades a short re-warmup (the sanitizer re-learns its
-  /// baselines) for a guaranteed-consistent restart point.
-  void reset_streams();
-
   /// Copy of the forensics ring, oldest first.
   std::vector<QuarantineRecord> quarantined() const;
 
  private:
   struct BuilderSlot {
     std::size_t slot = 0;
-    ProcessId pid = 0;
     std::unique_ptr<ProfileBuilder> builder;
   };
 
@@ -179,9 +167,6 @@ class PipelineShard {
   std::uint64_t phase_total(const DieState& state) const
       REPRO_REQUIRES(mutex_);
   std::uint64_t frequency_step_total(const DieState& state) const
-      REPRO_REQUIRES(mutex_);
-  /// Wire one builder slot as a stream sink (attach + reset_streams).
-  void attach_to_stream(DieState& state, BuilderSlot* raw)
       REPRO_REQUIRES(mutex_);
 
   const std::size_t index_;

@@ -43,10 +43,9 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <exception>
 #include <map>
 #include <memory>
 #include <optional>
@@ -87,15 +86,13 @@ struct PipelineHealth {
   std::uint64_t windows_forwarded = 0;    // passed sanitization
   std::uint64_t windows_repaired = 0;     // forwarded after a wrap repair
   std::uint64_t windows_quarantined = 0;  // withheld from the stream
-  std::uint64_t windows_dropped = 0;      // lost to ring backpressure (kDrop)
+  std::uint64_t windows_dropped = 0;      // lost to kDrop or a failed shard
   std::uint64_t revisions_rejected = 0;   // failed validation/quality gate
   std::uint64_t degraded_resolves = 0;    // re-solves served last-good
   std::uint64_t history_evicted = 0;      // PipelineEvents aged out
 
-  // Durability + supervision (ISSUE 8).
-  std::uint64_t stalls_detected = 0;   // no-progress episodes flagged
-  std::uint64_t shard_restarts = 0;    // workers restarted by the supervisor
-  std::uint64_t shards_failed = 0;     // shards past max_restarts, abandoned
+  // Durability + fail-stop shards.
+  std::uint64_t shards_failed = 0;     // ring-mode shards stopped by an error
   std::uint64_t recovery_truncated_frames = 0;  // torn/corrupt tail dropped
   std::uint64_t journal_write_failures = 0;  // journal/checkpoint I/O errors
 };
@@ -120,34 +117,6 @@ struct DurabilityOptions {
   /// Run recovery in the constructor. Off: start fresh — an existing
   /// journal is truncated, not replayed.
   bool recover = true;
-};
-
-/// Shard supervision (ISSUE 8): heartbeats, stall detection, bounded
-/// restart-with-backoff. Ring mode only (inline ingest has no workers
-/// to supervise).
-struct SupervisorOptions {
-  bool enabled = false;
-  /// Supervisor wake interval — every check below is in tick units.
-  std::chrono::milliseconds tick{20};
-  /// A shard counts as stalled after this many consecutive ticks with
-  /// windows waiting (enqueued > drained) and no drain progress. The
-  /// first response is a condvar nudge (heals a lost wakeup); a shard
-  /// still frozen after another stall_ticks with its heartbeat dead
-  /// and the worker not parked is preempt-restarted.
-  std::size_t stall_ticks = 5;
-  /// Restarts per shard before the supervisor gives up and marks the
-  /// shard failed (its windows count as dropped; producers unblock).
-  std::size_t max_restarts = 3;
-  /// After the k-th restart of a shard, wait k * backoff_ticks ticks
-  /// before watching it again — the restart-with-backoff bound.
-  std::size_t backoff_ticks = 2;
-  /// Test seam: runs on the worker thread for every popped window,
-  /// BEFORE shard ingest and outside every lock. A hook that throws
-  /// kills the worker (crash injection); one that blocks wedges it
-  /// (stall injection). Hooks must be released by the test before the
-  /// pipeline is destroyed.
-  std::function<void(std::size_t shard, const sim::Sample& window)>
-      fault_hook;
 };
 
 struct ShardedPipelineOptions {
@@ -200,8 +169,6 @@ struct ShardedPipelineOptions {
 
   /// Crash-safe durability: journal + checkpoints + replay recovery.
   DurabilityOptions durability{};
-  /// Shard worker supervision (ring mode only).
-  SupervisorOptions supervisor{};
 };
 
 /// The coordinator's monotonic counters (the old OnlinePipeline::Stats
@@ -271,7 +238,10 @@ class ShardedPipeline : private BatchSink {
   /// Wait (ring mode) until every window pushed so far has been
   /// ingested, flush merge groups still waiting on the watermark
   /// (an idle lane holds the frontier back), then flush every
-  /// builder's current phase and re-solve once more.
+  /// builder's current phase and re-solve once more. In ring mode a
+  /// failed shard is skipped and, once the healthy shards' work and
+  /// the journal sync are done, the lowest-indexed failed shard's
+  /// error is rethrown — the error inline mode throws from push().
   void finish();
 
   /// Unified event log, in global stream order — the most recent
@@ -315,9 +285,10 @@ class ShardedPipeline : private BatchSink {
   /// Ring-mode state, one per shard: a RingSet with one SPSC ring per
   /// producer lane routed to the shard, drained by one worker thread.
   /// ring_mutex + the condvars exist only for parking (worker on
-  /// empty, kBlock producer / drain waiter on full); the wakeup
-  /// handshake is the two-fence protocol of DESIGN 5.6, unchanged.
-  /// ring_mutex is leaf-level: nothing is called while holding it.
+  /// empty, kBlock producer / drain waiter on full) and for the
+  /// fail-stop handoff; the wakeup handshake is the two-fence protocol
+  /// of DESIGN 5.6, unchanged. ring_mutex is leaf-level: nothing is
+  /// called while holding it.
   struct Ingress {
     std::unique_ptr<common::RingSet<sim::Sample>> rings
         REPRO_CONST_AFTER_INIT;
@@ -330,32 +301,23 @@ class ShardedPipeline : private BatchSink {
     common::CondVar ring_cv;   // worker parks here (rings empty)
     common::CondVar drain_cv;  // kBlock producer / drain waiters park here
 
-    // Supervision state (ISSUE 8). `generation` retires workers: a
-    // worker whose spawn-time generation no longer matches exits at
-    // its next check, which is how a wedged worker is preempted
-    // without touching its stack. `heartbeat` ticks once per worker
-    // loop iteration — frozen heartbeat + no drain progress = wedged,
-    // not merely slow.
-    std::atomic<std::uint64_t> generation{0};
-    std::atomic<std::uint64_t> heartbeat{0};
-    std::atomic<bool> worker_dead{false};  // exited via exception
-    std::atomic<bool> failed{false};       // supervisor gave up
-    std::string last_error REPRO_GUARDED_BY(ring_mutex);
+    // Fail-stop (DESIGN 5.8): set once, never cleared. The worker
+    // exits, pushes count as dropped, waiters fall through.
+    std::atomic<bool> failed{false};
+    std::exception_ptr error REPRO_GUARDED_BY(ring_mutex);
   };
 
   void monitor_slot(ProcessId pid, DieId die, std::string name,
                     std::optional<engine::ProcessHandle> handle,
                     std::unique_ptr<ProfileBuilder> builder);
   void enqueue(DieId lane, const sim::Sample& sample);
-  void worker_loop(std::size_t shard, std::uint64_t my_generation);
+  void worker_loop(std::size_t shard);
   void drain_rings();
-  void supervisor_loop();
-  /// Retire + respawn a shard's worker (join when dead, detach when
-  /// wedged), or mark the shard failed once max_restarts is spent.
-  /// Returns the ticks to cool down before watching the shard again.
-  std::size_t restart_or_fail_shard(std::size_t shard,
-                                    std::size_t* restarts_used);
-  void fail_shard(std::size_t shard);
+  /// Stop a ring-mode shard for good: keep its first error, set
+  /// failed, wake its worker and every waiter. Takes only the shard's
+  /// leaf ring_mutex, so the coordinator may call it under mutex_.
+  void fail_shard(std::size_t shard, std::exception_ptr error);
+  bool shard_failed(std::size_t shard) const;
 
   /// BatchSink: called by a shard with that shard's mutex held.
   void deliver(WindowBatch batch) override;
@@ -477,17 +439,9 @@ class ShardedPipeline : private BatchSink {
   /// the vector itself is fixed at construction.
   std::vector<std::unique_ptr<Ingress>> ingress_ REPRO_CONST_AFTER_INIT;
   std::atomic<bool> stop_{false};
+  /// Windows push() refused (kDrop on a full ring, or a failed shard).
+  /// A failed shard's unread ring backlog is added in stats_locked.
   std::atomic<std::uint64_t> dropped_{0};
-
-  /// Supervisor (ISSUE 8): its own thread, parked on supervisor_cv_
-  /// between ticks; escalation counters are atomics so stats_locked
-  /// can read them without touching supervisor state.
-  std::thread supervisor_;
-  mutable common::Mutex supervisor_mutex_;
-  common::CondVar supervisor_cv_;
-  std::atomic<std::uint64_t> stalls_detected_{0};
-  std::atomic<std::uint64_t> shard_restarts_{0};
-  std::atomic<std::uint64_t> shards_failed_{0};
 };
 
 }  // namespace repro::online

@@ -64,10 +64,18 @@ std::uint64_t PipelineShard::frequency_step_total(
   return total;
 }
 
-void PipelineShard::attach_to_stream(DieState& state, BuilderSlot* raw) {
+void PipelineShard::attach(DieId die, std::size_t slot, ProcessId pid,
+                           std::unique_ptr<ProfileBuilder> builder) {
+  REPRO_ENSURE(builder != nullptr, "attach needs a builder");
+  common::MutexLock lock(mutex_);
+  DieState& state = state_of(die);
+  auto entry = std::make_unique<BuilderSlot>();
+  entry->slot = slot;
+  entry->builder = std::move(builder);
+  BuilderSlot* raw = entry.get();
+  state.builders.push_back(std::move(entry));
   state.stream.attach(
-      raw->pid,
-      [this, raw](const WindowObservation& obs) REPRO_REQUIRES(mutex_) {
+      pid, [this, raw](const WindowObservation& obs) REPRO_REQUIRES(mutex_) {
         if (auto revision = raw->builder->push(obs)) {
           ShardCandidate candidate;
           candidate.slot = raw->slot;
@@ -76,20 +84,6 @@ void PipelineShard::attach_to_stream(DieState& state, BuilderSlot* raw) {
           current_->candidates.push_back(std::move(candidate));
         }
       });
-}
-
-void PipelineShard::attach(DieId die, std::size_t slot, ProcessId pid,
-                           std::unique_ptr<ProfileBuilder> builder) {
-  REPRO_ENSURE(builder != nullptr, "attach needs a builder");
-  common::MutexLock lock(mutex_);
-  DieState& state = state_of(die);
-  auto entry = std::make_unique<BuilderSlot>();
-  entry->slot = slot;
-  entry->pid = pid;
-  entry->builder = std::move(builder);
-  BuilderSlot* raw = entry.get();
-  state.builders.push_back(std::move(entry));
-  attach_to_stream(state, raw);
 }
 
 void PipelineShard::ingest(DieId die, const sim::Sample& sample) {
@@ -144,18 +138,6 @@ std::optional<ProfileRevision> PipelineShard::flush_builder(
     for (auto& b : state.builders)
       if (b->slot == slot) return b->builder->finish();
   return std::nullopt;
-}
-
-void PipelineShard::reset_streams() {
-  common::MutexLock lock(mutex_);
-  for (auto& [die, state] : dies_) {
-    if (options_.harden) state.sanitizer.emplace(options_.sanitizer);
-    // Fresh stream, same builders: window indices restart at 0 but the
-    // builders' accumulated revisions — the last-good model state —
-    // survive the restart untouched.
-    state.stream = SampleStream{};
-    for (auto& b : state.builders) attach_to_stream(state, b.get());
-  }
 }
 
 std::vector<QuarantineRecord> PipelineShard::quarantined() const {

@@ -102,24 +102,13 @@ ShardedPipeline::ShardedPipeline(engine::ModelEngine& engine,
     }
     for (std::size_t s = 0; s < options_.shards; ++s)
       ingress_[s]->worker =
-          std::thread(&ShardedPipeline::worker_loop, this, s, 0);
-    if (options_.supervisor.enabled)
-      supervisor_ = std::thread(&ShardedPipeline::supervisor_loop, this);
+          std::thread(&ShardedPipeline::worker_loop, this, s);
   }
 }
 
 ShardedPipeline::~ShardedPipeline() {
   if (!ingress_.empty()) {
     stop_.store(true, std::memory_order_release);
-    // The supervisor goes first so it cannot restart a worker we are
-    // about to join.
-    if (supervisor_.joinable()) {
-      {
-        common::MutexLock lock(supervisor_mutex_);
-        supervisor_cv_.notify_all();
-      }
-      supervisor_.join();
-    }
     // Same two-fence handshake as enqueue(): either a worker's
     // park-time re-check sees stop_, or we see it parked and wake it.
     std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -127,11 +116,9 @@ ShardedPipeline::~ShardedPipeline() {
       common::MutexLock lock(in->ring_mutex);
       in->ring_cv.notify_one();
     }
-    // A worker the supervisor detached (wedged in a fault hook) is no
-    // longer joinable; tests must release such hooks before
-    // destruction.
-    for (auto& in : ingress_)
-      if (in->worker.joinable()) in->worker.join();  // drains its rings
+    // A healthy worker drains its rings first; a failed one has
+    // already returned.
+    for (auto& in : ingress_) in->worker.join();
   }
   // The journal writer outlives the workers: events they delivered are
   // still draining onto disk. journal_loop empties its queue before
@@ -216,8 +203,8 @@ void ShardedPipeline::push(const sim::Sample& sample) {
 
 void ShardedPipeline::enqueue(DieId lane, const sim::Sample& sample) {
   Ingress& in = *ingress_[lane_shard_[lane]];
-  // A failed shard (supervisor out of restarts) accepts nothing: its
-  // windows count as dropped and producers never block on it.
+  // A failed shard accepts nothing: its windows count as dropped and
+  // producers never block on it.
   if (in.failed.load(std::memory_order_acquire)) {
     // relaxed: statistics counter; no reader orders state off it.
     dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -268,65 +255,32 @@ void ShardedPipeline::enqueue(DieId lane, const sim::Sample& sample) {
   }
 }
 
-void ShardedPipeline::worker_loop(std::size_t shard,
-                                  std::uint64_t my_generation) {
+void ShardedPipeline::worker_loop(std::size_t shard) {
   Ingress& in = *ingress_[shard];
-  const auto notify_drain = [&] {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // relaxed: the seq_cst fence above supplies the ordering.
-    if (in.drain_waiters.load(std::memory_order_relaxed) > 0) {
-      common::MutexLock lock(in.ring_mutex);
-      in.drain_cv.notify_all();
-    }
-  };
   for (;;) {
-    // A retired worker (the supervisor bumped the generation to
-    // preempt or replace it) exits without touching shard state.
-    if (in.generation.load(std::memory_order_acquire) != my_generation)
-      return;
-    // relaxed: liveness tick; the supervisor only compares successive
-    // values of this counter, no payload rides on it.
-    in.heartbeat.fetch_add(1, std::memory_order_relaxed);
+    // Fail-stop: a failed shard's worker never pops again; whatever
+    // is left in its rings counts as dropped (stats_locked).
+    if (in.failed.load(std::memory_order_acquire)) return;
     sim::Sample window;
     if (in.rings->try_pop(window)) {
       const DieId lane = options_.producers > 1 ? window.die : 0;
-      bool alive = true;
       try {
-        // Fault seam first, outside every lock: a throwing hook kills
-        // this worker (the supervisor restarts it); a blocking hook
-        // wedges it (the supervisor preempts via the generation).
-        if (options_.supervisor.fault_hook)
-          options_.supervisor.fault_hook(shard, window);
-        if (in.generation.load(std::memory_order_acquire) !=
-            my_generation) {
-          // Preempted while wedged in the hook: the popped window is
-          // lost — account for it, close the drain count, and leave.
-          // relaxed: statistics counter; orders nothing.
-          dropped_.fetch_add(1, std::memory_order_relaxed);
-          in.drained.fetch_add(1, std::memory_order_release);
-          notify_drain();
-          return;
-        }
         shards_[shard]->ingest(lane, window);
-      } catch (const std::exception& e) {
-        // The window dies with the worker; everything the shard and
-        // coordinator committed before the throw stands (their locks
-        // released on unwind). Publish the cause, then report dead.
-        // relaxed: statistics counter; orders nothing.
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        {
-          common::MutexLock lock(in.ring_mutex);
-          in.last_error = e.what();
-        }
-        alive = false;
+      } catch (...) {
+        // Everything the shard and coordinator committed before the
+        // throw stands (their locks released on unwind). The errors
+        // ingest raises come from the coordinator, after deliver()
+        // counted the window seen. Nothing restarts the shard.
+        fail_shard(shard, std::current_exception());
       }
       in.drained.fetch_add(1, std::memory_order_release);
       // Wake a kBlock producer waiting for a slot or a drain waiter —
       // same fence-then-check as the producer side.
-      notify_drain();
-      if (!alive) {
-        in.worker_dead.store(true, std::memory_order_release);
-        return;
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      // relaxed: the seq_cst fence above supplies the ordering.
+      if (in.drain_waiters.load(std::memory_order_relaxed) > 0) {
+        common::MutexLock lock(in.ring_mutex);
+        in.drain_cv.notify_all();
       }
       continue;
     }
@@ -341,8 +295,8 @@ void ShardedPipeline::worker_loop(std::size_t shard,
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (in.rings->empty() &&
         !stop_.load(std::memory_order_relaxed) &&  // relaxed: fence above
-        in.generation.load(std::memory_order_relaxed) ==  // relaxed: ditto
-            my_generation)
+        // relaxed: only stored under ring_mutex, which we hold.
+        !in.failed.load(std::memory_order_relaxed))
       in.ring_cv.wait(in.ring_mutex);
     // relaxed: cleared under the same mutex; no payload rides on it.
     in.worker_parked.store(false, std::memory_order_relaxed);
@@ -361,8 +315,8 @@ void ShardedPipeline::drain_rings() {
     // worker's symmetric fence-then-check; ring_mutex covers the cv.
     in.drain_waiters.fetch_add(1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    // A failed shard will never drain again — fail_shard counted its
-    // backlog as dropped and notifies, so waiters fall through here.
+    // A failed shard will never drain again — fail_shard notifies, so
+    // waiters fall through here.
     while (in.drained.load(std::memory_order_acquire) < target &&
            !in.failed.load(std::memory_order_acquire))
       in.drain_cv.wait(in.ring_mutex);
@@ -371,140 +325,21 @@ void ShardedPipeline::drain_rings() {
   }
 }
 
-void ShardedPipeline::supervisor_loop() {
-  const std::size_t n = ingress_.size();
-  // All supervision state lives on the supervisor's own stack — no
-  // shared mutable supervisor state, so no lock interactions beyond
-  // the leaf-level ring_mutex it takes to nudge condvars.
-  std::vector<std::uint64_t> last_drained(n, 0);
-  std::vector<std::uint64_t> last_heartbeat(n, 0);
-  std::vector<std::size_t> no_progress(n, 0);
-  std::vector<std::size_t> cooldown(n, 0);
-  std::vector<std::size_t> restarts(n, 0);
-  for (;;) {
-    {
-      common::MutexLock lock(supervisor_mutex_);
-      if (stop_.load(std::memory_order_acquire)) return;
-      supervisor_cv_.wait_for(supervisor_mutex_, options_.supervisor.tick);
-      if (stop_.load(std::memory_order_acquire)) return;
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      Ingress& in = *ingress_[s];
-      if (in.failed.load(std::memory_order_acquire)) continue;
-      if (cooldown[s] > 0) {
-        // Backoff window after a restart: give the fresh worker
-        // cooldown ticks of grace before judging its progress.
-        --cooldown[s];
-        no_progress[s] = 0;
-        last_drained[s] = in.drained.load(std::memory_order_acquire);
-        // relaxed: progress tick, only compared to its own past value.
-        last_heartbeat[s] = in.heartbeat.load(std::memory_order_relaxed);
-        continue;
-      }
-      if (in.worker_dead.load(std::memory_order_acquire)) {
-        // The worker exited via an exception: joinable, state known.
-        cooldown[s] = restart_or_fail_shard(s, &restarts[s]);
-        no_progress[s] = 0;
-        continue;
-      }
-      const std::uint64_t drained = in.drained.load(std::memory_order_acquire);
-      // relaxed: progress tick, only compared to its own past value.
-      const std::uint64_t heartbeat =
-          in.heartbeat.load(std::memory_order_relaxed);  // relaxed: ditto
-      const bool behind = drained < in.enqueued.load(std::memory_order_acquire);
-      if (behind && drained == last_drained[s]) {
-        ++no_progress[s];
-        if (no_progress[s] == options_.supervisor.stall_ticks) {
-          // First escalation: flag the stall and nudge the condvars —
-          // this alone heals a lost wakeup without losing any state.
-          // relaxed: statistics counter; orders nothing.
-          stalls_detected_.fetch_add(1, std::memory_order_relaxed);
-          common::MutexLock lock(in.ring_mutex);
-          in.ring_cv.notify_all();
-        } else if (no_progress[s] >= 2 * options_.supervisor.stall_ticks &&
-                   heartbeat == last_heartbeat[s] &&
-                   !in.worker_parked.load(std::memory_order_acquire)) {
-          // Still frozen after the nudge, heartbeat dead, and not
-          // parked: the worker is wedged mid-iteration (a stuck fault
-          // hook, a livelocked dependency). Preempt-restart.
-          cooldown[s] = restart_or_fail_shard(s, &restarts[s]);
-          no_progress[s] = 0;
-        }
-      } else {
-        no_progress[s] = 0;
-      }
-      last_drained[s] = drained;
-      last_heartbeat[s] = heartbeat;
-    }
-  }
-}
-
-std::size_t ShardedPipeline::restart_or_fail_shard(
-    std::size_t shard, std::size_t* restarts_used) {
+void ShardedPipeline::fail_shard(std::size_t shard,
+                                 std::exception_ptr error) {
   Ingress& in = *ingress_[shard];
-  if (*restarts_used >= options_.supervisor.max_restarts) {
-    fail_shard(shard);
-    return 0;
-  }
-  ++*restarts_used;
-  const bool was_dead = in.worker_dead.load(std::memory_order_acquire);
-  // Retire the incumbent: bump the generation, then wake it in case it
-  // is parked (a parked worker re-checks the generation before waiting
-  // again and exits).
-  in.generation.fetch_add(1, std::memory_order_release);
-  {
-    common::MutexLock lock(in.ring_mutex);
-    in.ring_cv.notify_all();
-  }
-  if (in.worker.joinable()) {
-    if (was_dead) {
-      in.worker.join();
-    } else {
-      // Wedged, not dead: it may never return, and joining would wedge
-      // the supervisor too. Detach — the stale generation makes it
-      // exit without touching shard state if it ever resumes.
-      in.worker.detach();
-    }
-  }
-  in.worker_dead.store(false, std::memory_order_release);
-  // Only a *joined* worker is provably gone; then the shard's streaming
-  // state can be rebuilt from last-good. A detached wedged worker may
-  // still be inside ingest() holding the shard mutex — leave its state
-  // alone and let the fresh worker share it.
-  if (was_dead) shards_[shard]->reset_streams();
-  in.worker = std::thread(&ShardedPipeline::worker_loop, this, shard,
-                          in.generation.load(std::memory_order_acquire));
-  // relaxed: statistics counter; surfaced via stats() only.
-  shard_restarts_.fetch_add(1, std::memory_order_relaxed);
-  return options_.supervisor.backoff_ticks * *restarts_used;
-}
-
-void ShardedPipeline::fail_shard(std::size_t shard) {
-  Ingress& in = *ingress_[shard];
-  in.generation.fetch_add(1, std::memory_order_release);  // retire worker
-  const std::uint64_t enqueued = in.enqueued.load(std::memory_order_acquire);
-  const std::uint64_t drained = in.drained.load(std::memory_order_acquire);
-  // The undrained backlog is lost: count it so windows_dropped stays an
-  // honest account. (If a detached wedged worker later drains a few of
-  // these, they double-count — acceptable for a shard being abandoned.)
-  if (enqueued > drained) {
-    // relaxed: statistics counter; orders nothing.
-    dropped_.fetch_add(enqueued - drained, std::memory_order_relaxed);
-  }
+  common::MutexLock lock(in.ring_mutex);
+  if (in.failed.load(std::memory_order_relaxed))  // relaxed: under ring_mutex
+    return;  // the first error is the one finish() reports
+  in.error = std::move(error);
   in.failed.store(true, std::memory_order_release);
-  // relaxed: statistics counter; surfaced via stats() only.
-  shards_failed_.fetch_add(1, std::memory_order_relaxed);
-  {
-    common::MutexLock lock(in.ring_mutex);
-    in.ring_cv.notify_all();   // unpark + retire the worker
-    in.drain_cv.notify_all();  // release kBlock producers/drain waiters
-  }
-  if (in.worker.joinable()) {
-    if (in.worker_dead.load(std::memory_order_acquire))
-      in.worker.join();
-    else
-      in.worker.detach();
-  }
+  in.ring_cv.notify_one();   // a parked worker exits
+  in.drain_cv.notify_all();  // release kBlock producers/drain waiters
+}
+
+bool ShardedPipeline::shard_failed(std::size_t shard) const {
+  return !ingress_.empty() &&
+         ingress_[shard]->failed.load(std::memory_order_acquire);
 }
 
 void ShardedPipeline::deliver(WindowBatch batch) {
@@ -560,16 +395,19 @@ void ShardedPipeline::deliver(WindowBatch batch) {
 void ShardedPipeline::release_ready_locked() {
   // Frontier = the newest seq every lane has reached. A lane that has
   // never delivered blocks release entirely (finish() flushes).
-  std::uint64_t frontier = 0;
-  bool first = true;
-  for (const auto& d : delivered_) {
+  // A failed shard's lanes deliver nothing more, so they stop
+  // holding the frontier back.
+  std::optional<std::uint64_t> frontier;
+  for (std::size_t lane = 0; lane < delivered_.size(); ++lane) {
+    if (shard_failed(lane_shard_[lane])) continue;
+    const std::optional<std::uint64_t>& d = delivered_[lane];
     if (!d.has_value()) return;
-    frontier = first ? *d : std::min(frontier, *d);
-    first = false;
+    frontier = frontier.has_value() ? std::min(*frontier, *d) : *d;
   }
+  if (!frontier.has_value()) return;
   // Release whole same-seq groups in ascending seq order; map keys are
   // (seq, lane), so each group drains in ascending die order.
-  while (!pending_.empty() && pending_.begin()->first.first <= frontier) {
+  while (!pending_.empty() && pending_.begin()->first.first <= *frontier) {
     const std::uint64_t seq = pending_.begin()->first.first;
     std::vector<WindowBatch> group;
     while (!pending_.empty() && pending_.begin()->first.first == seq) {
@@ -635,26 +473,33 @@ std::optional<RevisionEvent> ShardedPipeline::apply_candidate_locked(
   // Degradation gate 2: validation. try_apply/register_process
   // validate before touching the registry, so a refusal here leaves the
   // engine's registry and memoized artifacts exactly as they were.
+  // The hardened pipeline degrades to last-good and counts the
+  // refusal. The unhardened one (the chaos bench's control arm) makes
+  // it an error: inline, out of push(); in ring mode it fails the
+  // shard that produced the revision (not whichever worker released
+  // its merge group), and finish() rethrows it.
+  const auto refuse = [&](std::exception_ptr error) REPRO_REQUIRES(mutex_) {
+    if (options_.harden) {
+      ++revisions_rejected_;
+    } else if (ingress_.empty()) {
+      std::rethrow_exception(std::move(error));
+    } else {
+      fail_shard(slot.shard, std::move(error));
+    }
+    return std::optional<RevisionEvent>{};
+  };
   if (slot.handle.has_value()) {
     const engine::ApplyResult applied = engine_.try_apply(
         engine::Revision::process(*slot.handle, std::move(revision.profile)));
-    if (!applied.applied) {
-      // The unhardened pipeline (the chaos bench's control arm)
-      // propagates the validation error out of push(); the hardened
-      // one degrades to last-good and counts the rejection.
-      REPRO_ENSURE(options_.harden, "revision rejected: " + applied.reason);
-      ++revisions_rejected_;
-      return std::nullopt;
-    }
-  } else if (options_.harden) {
+    if (!applied.applied)
+      return refuse(std::make_exception_ptr(
+          Error("revision rejected: " + applied.reason)));
+  } else {
     try {
       slot.handle = engine_.register_process(std::move(revision.profile));
     } catch (const Error&) {
-      ++revisions_rejected_;
-      return std::nullopt;
+      return refuse(std::current_exception());
     }
-  } else {
-    slot.handle = engine_.register_process(std::move(revision.profile));
   }
   ++revisions_;
 
@@ -968,9 +813,9 @@ void ShardedPipeline::finish() {
       process_group_locked(std::move(group));
     }
   }
-  // Flush every builder's current phase, in slot order. Each flush
-  // takes the shard lock, then the apply takes the coordinator lock —
-  // sequentially, never nested, respecting the lock order.
+  // Flush every healthy builder's current phase, in slot order. Each
+  // flush takes the shard lock, then the apply takes the coordinator
+  // lock — sequentially, never nested, respecting the lock order.
   std::size_t count = 0;
   {
     common::MutexLock lock(mutex_);
@@ -982,6 +827,7 @@ void ShardedPipeline::finish() {
       common::MutexLock lock(mutex_);
       shard = slots_[i]->shard;
     }
+    if (shard_failed(shard)) continue;
     std::optional<ProfileRevision> revision = shards_[shard]->flush_builder(i);
     if (!revision.has_value()) continue;
     common::MutexLock lock(mutex_);
@@ -999,14 +845,24 @@ void ShardedPipeline::finish() {
   // finish() returns, everything the log holds survives a power cut.
   if (journal_async_) {
     flush_journal();
-    return;
+  } else {
+    common::MutexLock lock(mutex_);
+    if (journal_enabled_.load(std::memory_order_acquire) &&
+        !journal_.sync()) {
+      // relaxed: statistics counter; surfaced via stats() only.
+      journal_write_failures_.fetch_add(1, std::memory_order_relaxed);
+      journal_enabled_.store(false, std::memory_order_release);
+    }
   }
-  common::MutexLock lock(mutex_);
-  if (journal_enabled_.load(std::memory_order_acquire) &&
-      !journal_.sync()) {
-    // relaxed: statistics counter; surfaced via stats() only.
-    journal_write_failures_.fetch_add(1, std::memory_order_relaxed);
-    journal_enabled_.store(false, std::memory_order_release);
+  for (const auto& entry : ingress_) {
+    Ingress& in = *entry;
+    if (!in.failed.load(std::memory_order_acquire)) continue;
+    std::exception_ptr error;
+    {
+      common::MutexLock lock(in.ring_mutex);
+      error = in.error;
+    }
+    std::rethrow_exception(error);
   }
 }
 
@@ -1054,17 +910,21 @@ PipelineStats ShardedPipeline::stats_locked() const {
   // relaxed: statistics snapshot; the counters below need not be
   // mutually consistent and order nothing.
   s.health.windows_dropped = dropped_.load(std::memory_order_relaxed);
+  for (std::size_t shard = 0; shard < ingress_.size(); ++shard) {
+    if (!shard_failed(shard)) continue;
+    // A failed shard's unread backlog is lost. Exact once producers
+    // and its last in-flight window are done: seen + dropped = pushed.
+    const Ingress& in = *ingress_[shard];
+    const std::uint64_t enqueued = in.enqueued.load(std::memory_order_acquire);
+    const std::uint64_t drained = in.drained.load(std::memory_order_acquire);
+    if (enqueued > drained) s.health.windows_dropped += enqueued - drained;
+    ++s.health.shards_failed;
+  }
   s.health.revisions_rejected = revisions_rejected_;
   s.health.degraded_resolves = degraded_resolves_;
   s.health.history_evicted = history_evicted_;
   s.journaled_events = journaled_events_;
   s.checkpoints = checkpoints_;
-  s.health.stalls_detected =
-      stalls_detected_.load(std::memory_order_relaxed);  // relaxed: ditto
-  s.health.shard_restarts =
-      shard_restarts_.load(std::memory_order_relaxed);  // relaxed: ditto
-  s.health.shards_failed =
-      shards_failed_.load(std::memory_order_relaxed);  // relaxed: ditto
   s.health.recovery_truncated_frames = recovery_.journal.truncated_frames;
   s.health.journal_write_failures =
       journal_write_failures_.load(

@@ -1,21 +1,20 @@
 // ShardedPipeline (ISSUE 7): single-shard parity with the facade, the
 // shard-count-independent merged event log, coalesced re-solves,
-// quarantine forensics, and ring-mode multi-producer ingestion racing
+// quarantine forensics, ring-mode multi-producer ingestion racing
 // four producer threads against the shard workers (the TSan leg runs
-// this suite).
+// this suite), and the fail-stop contract for a shard whose worker
+// hits an error.
 #include "repro/online/sharded_pipeline.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "repro/common/ensure.hpp"
 #include "repro/core/perf_model.hpp"
 #include "repro/core/power_model.hpp"
 #include "repro/engine/model_engine.hpp"
@@ -407,112 +406,6 @@ TEST(ShardedPipeline, RingModeMultiProducerMatchesInlineIngest) {
                      ring_rig.pipe.snapshot().stats);
 }
 
-/// Ring mode with a fast supervisor tick, sized for fault injection.
-ShardedPipelineOptions supervised_options(std::size_t shards) {
-  ShardedPipelineOptions o = lane_options(shards);
-  o.inline_ingest = false;
-  o.ring_capacity = 64;
-  o.backpressure = Backpressure::kBlock;
-  o.supervisor.enabled = true;
-  o.supervisor.tick = std::chrono::milliseconds(2);
-  o.supervisor.stall_ticks = 3;
-  o.supervisor.max_restarts = 2;
-  o.supervisor.backoff_ticks = 1;
-  return o;
-}
-
-TEST(ShardedPipeline, SupervisorRestartsCrashedWorker) {
-  ShardedPipelineOptions o = supervised_options(4);
-  std::atomic<bool> crashed{false};
-  o.supervisor.fault_hook = [&](std::size_t shard, const sim::Sample&) {
-    if (shard == 0 && !crashed.exchange(true))
-      throw std::runtime_error("injected worker crash");
-  };
-  Rig rig(std::move(o));
-  for (std::uint64_t seq = 0; seq < 24; ++seq)
-    for (DieId lane = 0; lane < kLanes; ++lane)
-      rig.pipe.push(make_window(lane, seq, rig.machine.cores));
-  // finish() can only drain shard 0 once the supervisor has noticed
-  // the dead worker and respawned it.
-  rig.pipe.finish();
-
-  const PipelineStats s = rig.pipe.snapshot().stats;
-  EXPECT_TRUE(crashed.load());
-  EXPECT_EQ(s.health.shard_restarts, 1u);
-  EXPECT_EQ(s.health.shards_failed, 0u);
-  // Exactly the window the crashing worker held is lost; everything
-  // behind it drains through the replacement.
-  EXPECT_EQ(s.health.windows_dropped, 1u);
-  EXPECT_GT(s.revisions, 0u);
-}
-
-TEST(ShardedPipeline, SupervisorPreemptsWedgedWorkerAfterStall) {
-  ShardedPipelineOptions o = supervised_options(4);
-  std::atomic<bool> wedge{true};
-  std::atomic<bool> wedged_once{false};
-  o.supervisor.fault_hook = [&](std::size_t shard, const sim::Sample&) {
-    if (shard == 0 && !wedged_once.exchange(true))
-      while (wedge.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  };
-  Rig rig(std::move(o));
-  for (std::uint64_t seq = 0; seq < 12; ++seq)
-    for (DieId lane = 0; lane < kLanes; ++lane)
-      rig.pipe.push(make_window(lane, seq, rig.machine.cores));
-
-  // The wedged worker freezes shard 0 with a backlog: the supervisor
-  // must flag the stall (condvar nudge first), find the heartbeat
-  // dead, and preempt-restart.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (rig.pipe.snapshot().stats.health.shard_restarts == 0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const PipelineStats mid = rig.pipe.snapshot().stats;
-  EXPECT_GE(mid.health.stalls_detected, 1u);
-  EXPECT_EQ(mid.health.shard_restarts, 1u);
-
-  // Release the wedged thread; its retired generation makes it mark
-  // its window dropped and exit, which is what lets finish() drain.
-  wedge.store(false);
-  rig.pipe.finish();
-  const PipelineStats fin = rig.pipe.snapshot().stats;
-  EXPECT_EQ(fin.health.shards_failed, 0u);
-  EXPECT_EQ(fin.health.windows_dropped, 1u);
-  EXPECT_GT(fin.revisions, 0u);
-  // The preempted worker was detached, not joined: give its last few
-  // instructions (past the final counter update) time to clear before
-  // the pipeline is destroyed.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-}
-
-TEST(ShardedPipeline, SupervisorFailsShardAfterMaxRestarts) {
-  ShardedPipelineOptions o = supervised_options(4);
-  std::atomic<int> crashes{0};
-  o.supervisor.fault_hook = [&](std::size_t shard, const sim::Sample&) {
-    if (shard == 0) {
-      crashes.fetch_add(1);
-      throw std::runtime_error("injected crash loop");
-    }
-  };
-  Rig rig(std::move(o));
-  for (std::uint64_t seq = 0; seq < 12; ++seq)
-    for (DieId lane = 0; lane < kLanes; ++lane)
-      rig.pipe.push(make_window(lane, seq, rig.machine.cores));
-  // Shard 0 can never drain; finish() returns because fail_shard
-  // releases the drain waiters.
-  rig.pipe.finish();
-
-  const PipelineStats s = rig.pipe.snapshot().stats;
-  EXPECT_EQ(crashes.load(), 3) << "initial worker + max_restarts spawns";
-  EXPECT_EQ(s.health.shard_restarts, 2u);
-  EXPECT_EQ(s.health.shards_failed, 1u);
-  // Every shard-0 window is accounted dropped: one per crash, the
-  // rest abandoned by fail_shard.
-  EXPECT_EQ(s.health.windows_dropped, 12u);
-  EXPECT_GT(s.revisions, 0u) << "the other shards must keep working";
-}
-
 /// make_window with every process's clock tagged: `clock_scale` < 1
 /// slows the cores, which stretches CPU time by 1/scale while cache
 /// behaviour (and hence MPA, the phase signal) is untouched.
@@ -603,6 +496,58 @@ TEST(ShardedPipeline, DvfsStepsRaceRingIngestion) {
   const auto handle = eng.find("gzip");
   ASSERT_TRUE(handle.has_value());
   EXPECT_GT(eng.profile(*handle).features.fit_frequency, 0.0);
+}
+
+TEST(ShardedPipeline, WorkerExceptionFailsStopShard) {
+  // Lane 0 reports a clock halfway between two DVFS levels — not an
+  // operating point — so the unhardened pipeline's first lane-0
+  // revision is refused with a fit-frequency error. Inline, push()
+  // throws it; in ring mode shard 0 must fail-stop with that same
+  // error while a tiny ring keeps the kBlock producer waiting on it.
+  constexpr std::uint64_t kSeqs = 32;
+  const auto window = [](DieId lane, std::uint64_t seq,
+                         const sim::MachineConfig& m) {
+    const double off_point =
+        0.5 * (m.dvfs_levels[0] + m.dvfs_levels[1]) / m.frequency;
+    return dvfs_window(lane, seq, m, lane == 0 ? off_point : 1.0);
+  };
+  ShardedPipelineOptions o = lane_options(4);
+  o.harden = false;
+
+  std::string inline_error;
+  {
+    Rig rig(o);
+    try {
+      for (std::uint64_t seq = 0; seq < kSeqs; ++seq)
+        for (DieId lane = 0; lane < kLanes; ++lane)
+          rig.pipe.push(window(lane, seq, rig.machine));
+    } catch (const Error& e) {
+      inline_error = e.what();
+    }
+  }
+  ASSERT_NE(inline_error.find("fit-frequency mismatch"), std::string::npos)
+      << inline_error;
+
+  o.inline_ingest = false;
+  o.ring_capacity = 2;
+  o.backpressure = Backpressure::kBlock;
+  Rig rig(o);
+  for (std::uint64_t seq = 0; seq < kSeqs; ++seq)
+    for (DieId lane = 0; lane < kLanes; ++lane)
+      rig.pipe.push(window(lane, seq, rig.machine));
+  std::string ring_error;
+  try {
+    rig.pipe.finish();
+  } catch (const Error& e) {
+    ring_error = e.what();
+  }
+  EXPECT_EQ(ring_error, inline_error);
+
+  const PipelineStats s = rig.pipe.snapshot().stats;
+  EXPECT_EQ(s.health.shards_failed, 1u);
+  EXPECT_EQ(s.health.windows_seen + s.health.windows_dropped,
+            kSeqs * kLanes);
+  EXPECT_GT(s.revisions, 0u) << "the other lanes must keep working";
 }
 
 TEST(ShardedPipeline, ShardCountClampsToProducerLanes) {

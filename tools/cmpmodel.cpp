@@ -19,7 +19,7 @@
 //                     [--journal j.log] [--checkpoint c.txt]
 //                     [--fsync every_n|on_revision|off] [--fsync-every 32]
 //                     [--checkpoint-every 64] [--recover on|off]
-//                     [--supervise on] [--dvfs "0.5:0:1.2e9;1.0:0:2.4e9"]
+//                     [--dvfs "0.5:0:1.2e9;1.0:0:2.4e9"]
 //   cmpmodel checkpoint --machine server --checkpoint c.txt
 //                       [--journal j.log] [--json on]
 //
@@ -75,9 +75,11 @@
 // restarts with --recover on (default) from the newest valid
 // checkpoint plus a journal replay, torn tails cut; the summary's
 // durability line (and the JSON summary's "durability" object)
-// reports the counters. --supervise on (ring mode) arms the shard
-// supervisor: stalled or crashed shard workers restart with bounded
-// backoff, and the health counters record it. The standalone
+// reports the counters. In ring mode a shard whose worker hits an
+// error (with --sanitize off, a revision the engine refuses) stops for
+// good: its windows count as dropped, the summary still prints with
+// "shards_failed", then the cause goes to stderr and the exit status
+// is nonzero — as when inline ingest throws. The standalone
 // `cmpmodel checkpoint` compacts durable state offline: recover,
 // write a fresh checkpoint, truncate the journal.
 //
@@ -99,6 +101,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <memory>
 #include <optional>
@@ -691,14 +694,6 @@ int cmd_watch(const Args& args) {
                  "--fsync must be every_n, on_revision, or off");
   pipe_options.durability.journal.fsync_every =
       static_cast<std::size_t>(std::stoull(args.get("fsync-every", "32")));
-  // Shard supervision rides on ring ingestion (inline ingest has no
-  // workers to supervise).
-  const bool supervise = args.get("supervise", "off") != "off";
-  if (supervise) {
-    REPRO_ENSURE(!pipe_options.inline_ingest,
-                 "--supervise needs --ingest ring");
-    pipe_options.supervisor.enabled = true;
-  }
   online::ShardedPipeline pipe(*eng, pipe_options);
   const online::RecoveryReport& recovered = pipe.recovery();
   if (!json && pipe_options.durability.recover &&
@@ -839,7 +834,14 @@ int cmd_watch(const Args& args) {
     ++window_index;
   });
   if (chaos.has_value()) chaos->flush();
-  pipe.finish();
+  // A failed ring-mode shard surfaces here. Report the run first, then
+  // leave through main() like an inline push() error.
+  std::exception_ptr failure;
+  try {
+    pipe.finish();
+  } catch (const std::exception&) {
+    failure = std::current_exception();
+  }
 
   // finish() force-fits the tail windows (and drains any ring-queued
   // ones), which can emit a last burst of revisions; drain the event
@@ -871,12 +873,11 @@ int cmd_watch(const Args& args) {
         "\"health\":{\"seen\":%llu,"
         "\"forwarded\":%llu,\"repaired\":%llu,\"quarantined\":%llu,"
         "\"dropped\":%llu,"
-        "\"rejected\":%llu,\"degraded\":%llu,\"evicted\":%llu},"
+        "\"rejected\":%llu,\"degraded\":%llu,\"evicted\":%llu,"
+        "\"shards_failed\":%llu},"
         "\"durability\":{\"journaled\":%llu,\"checkpoints\":%llu,"
         "\"replayed\":%llu,\"truncated_frames\":%llu,"
-        "\"write_failures\":%llu},"
-        "\"supervisor\":{\"stalls\":%llu,\"restarts\":%llu,"
-        "\"shards_failed\":%llu}}}\n",
+        "\"write_failures\":%llu}}}\n",
         static_cast<unsigned long long>(stats.windows),
         static_cast<unsigned long long>(stats.revisions),
         static_cast<unsigned long long>(stats.phase_changes),
@@ -896,14 +897,12 @@ int cmd_watch(const Args& args) {
         static_cast<unsigned long long>(h.revisions_rejected),
         static_cast<unsigned long long>(h.degraded_resolves),
         static_cast<unsigned long long>(h.history_evicted),
+        static_cast<unsigned long long>(h.shards_failed),
         static_cast<unsigned long long>(stats.journaled_events),
         static_cast<unsigned long long>(stats.checkpoints),
         static_cast<unsigned long long>(recovered.replayed),
         static_cast<unsigned long long>(h.recovery_truncated_frames),
-        static_cast<unsigned long long>(h.journal_write_failures),
-        static_cast<unsigned long long>(h.stalls_detected),
-        static_cast<unsigned long long>(h.shard_restarts),
-        static_cast<unsigned long long>(h.shards_failed));
+        static_cast<unsigned long long>(h.journal_write_failures));
   } else {
     std::printf("\n%llu windows -> %llu revisions, %llu phase changes, "
                 "%llu re-solves (mean %.1f solver iterations)\n",
@@ -926,7 +925,8 @@ int cmd_watch(const Args& args) {
     const online::PipelineHealth& health = stats.health;
     std::printf("health: %llu/%llu windows forwarded (%llu repaired, "
                 "%llu quarantined, %llu dropped), %llu revisions rejected, "
-                "%llu degraded re-solves, %llu history evictions\n",
+                "%llu degraded re-solves, %llu history evictions, "
+                "%llu shards failed\n",
                 static_cast<unsigned long long>(health.windows_forwarded),
                 static_cast<unsigned long long>(health.windows_seen),
                 static_cast<unsigned long long>(health.windows_repaired),
@@ -934,7 +934,8 @@ int cmd_watch(const Args& args) {
                 static_cast<unsigned long long>(health.windows_dropped),
                 static_cast<unsigned long long>(health.revisions_rejected),
                 static_cast<unsigned long long>(health.degraded_resolves),
-                static_cast<unsigned long long>(health.history_evicted));
+                static_cast<unsigned long long>(health.history_evicted),
+                static_cast<unsigned long long>(health.shards_failed));
     if (!journal_path.empty() || !checkpoint_path.empty())
       std::printf("durability: %llu events journaled, %llu checkpoints, "
                   "%zu replayed at start, %llu torn frames cut, "
@@ -946,12 +947,6 @@ int cmd_watch(const Args& args) {
                       health.recovery_truncated_frames),
                   static_cast<unsigned long long>(
                       health.journal_write_failures));
-    if (supervise)
-      std::printf("supervisor: %llu stalls detected, %llu shard restarts, "
-                  "%llu shards failed\n",
-                  static_cast<unsigned long long>(health.stalls_detected),
-                  static_cast<unsigned long long>(health.shard_restarts),
-                  static_cast<unsigned long long>(health.shards_failed));
     if (stats.power_revisions > 0 || stats.power_rejected > 0 ||
         err_windows > 0) {
       std::printf("power: %llu refits applied, %llu rejected, "
@@ -1012,6 +1007,8 @@ int cmd_watch(const Args& args) {
       }
     }
   }
+
+  if (failure) std::rethrow_exception(failure);
 
   if (!store_path.empty()) {
     for (std::size_t idx = 0; idx < names.size(); ++idx)
