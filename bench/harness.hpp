@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "repro/common/rng.hpp"
-#include "repro/core/assignment.hpp"
 #include "repro/core/combined.hpp"
 #include "repro/core/power_model.hpp"
 #include "repro/core/profiler.hpp"

@@ -9,10 +9,11 @@
 // enumeration.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "repro/core/analytic.hpp"
-#include "repro/core/assignment.hpp"
-#include "repro/core/combined.hpp"
 #include "repro/core/perf_model.hpp"
+#include "repro/engine/assignment.hpp"
 #include "repro/sim/machine.hpp"
 #include "repro/workload/spec.hpp"
 
@@ -91,24 +92,34 @@ void BM_EquilibriumSolveNewton(benchmark::State& state) {
 }
 BENCHMARK(BM_EquilibriumSolveNewton)->Arg(2)->Arg(4);
 
+/// Engine over `k` synthetic profiles; handles come back as 0..k-1.
+std::unique_ptr<engine::ModelEngine> engine_of(std::size_t k) {
+  auto eng = std::make_unique<engine::ModelEngine>(machine(), power_model());
+  for (core::ProcessProfile& p : synthetic_profiles(k))
+    eng->register_process(std::move(p));
+  return eng;
+}
+
 void BM_CombinedEstimate(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
-  const auto profiles = synthetic_profiles(k);
-  const core::CombinedEstimator estimator(power_model(), machine());
+  const auto eng = engine_of(k);
+  const auto snap = eng->snapshot();
   core::Assignment a = core::Assignment::empty(machine().cores);
   for (std::size_t p = 0; p < k; ++p)
     a.per_core[p % machine().cores].push_back(p);
   for (auto _ : state)
-    benchmark::DoNotOptimize(estimator.estimate(profiles, a));
+    benchmark::DoNotOptimize(engine::estimate_eq10(*eng, *snap, a));
 }
 BENCHMARK(BM_CombinedEstimate)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ExhaustiveAssignmentSearch(benchmark::State& state) {
-  const auto profiles =
-      synthetic_profiles(static_cast<std::size_t>(state.range(0)));
-  const core::CombinedEstimator estimator(power_model(), machine());
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const auto eng = engine_of(k);
+  std::vector<engine::ProcessHandle> handles(k);
+  for (std::size_t p = 0; p < k; ++p)
+    handles[p] = static_cast<engine::ProcessHandle>(p);
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::optimize_assignment(estimator, profiles));
+    benchmark::DoNotOptimize(engine::optimize_assignment(*eng, handles));
 }
 BENCHMARK(BM_ExhaustiveAssignmentSearch)->Arg(2)->Arg(4);
 

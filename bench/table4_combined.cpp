@@ -1,17 +1,19 @@
 // Reproduces Table 4: combined model validation on the 4-core server
 // (paper §6.4).
 //
-// The combined estimator prices each tentative assignment from
-// *profiling information only* (feature vectors + PF vectors — no
-// runtime HPC values), and the estimate is compared with the
-// simulator-measured average power. Scenario mix as in the paper:
-// 32 assignments with 1 process/core, 10 with 2 processes/core, and
-// 16/16/9 with four processes packed onto 3/2/1 cores.
+// The combined model prices each tentative assignment from *profiling
+// information only* (feature vectors + PF vectors — no runtime HPC
+// values), and the estimate is compared with the simulator-measured
+// average power. The paper column is the Eq. 10 combination average;
+// the die-wide column is the engine's own predict(). Scenario mix as in
+// the paper: 32 assignments with 1 process/core, 10 with 2
+// processes/core, and 16/16/9 with four processes packed onto 3/2/1
+// cores.
 #include <iostream>
 
 #include "harness.hpp"
 #include "repro/common/table.hpp"
-#include "repro/core/combined.hpp"
+#include "repro/engine/assignment.hpp"
 
 namespace repro::bench {
 namespace {
@@ -21,14 +23,15 @@ struct ScenarioResult {
   ErrorAccumulator avg_err;
 };
 
-void evaluate(const Platform& platform,
-              const core::CombinedEstimator& paper_mode,
-              const core::CombinedEstimator& die_wide_mode,
+void evaluate(const Platform& platform, const engine::ModelEngine& eng,
               const std::vector<core::ProcessProfile>& profiles,
               const core::Assignment& a, std::uint64_t seed,
               ScenarioResult* paper_result, ScenarioResult* die_wide_result) {
-  const Watts est_paper = paper_mode.estimate(profiles, a);
-  const Watts est_die_wide = die_wide_mode.estimate(profiles, a);
+  const Watts est_paper =
+      engine::estimate_eq10(eng, *eng.snapshot(), a).total_power;
+  engine::CoScheduleQuery query;
+  query.assignment = a;
+  const Watts est_die_wide = eng.predict(query).total_power;
   const sim::RunResult run =
       simulate_assignment(platform, a, profiles, 0.05, 0.24, seed);
   paper_result->avg_err.add(est_paper, run.mean_measured_power());
@@ -42,10 +45,10 @@ int run() {
   const std::vector<core::ProcessProfile> profiles =
       get_profiles(platform, suite8());
   const core::PowerModel model = get_power_model(platform);
-  const core::CombinedEstimator estimator(model, platform.machine);
-  const core::CombinedEstimator die_wide(
-      model, platform.machine, core::EquilibriumOptions{},
-      core::EstimatorMode::kDieWideEquilibrium);
+  // A fresh engine hands out handles 0..n-1 in registration order, so
+  // profile indices double as handles.
+  engine::ModelEngine eng(platform.machine, model);
+  for (const core::ProcessProfile& p : profiles) eng.register_process(p);
   const std::uint32_t n_cores = platform.machine.cores;
 
   struct Scenario {
@@ -80,7 +83,7 @@ int run() {
       std::vector<CoreId> cores;
       for (std::uint32_t k = 0; k < sc.cores_used; ++k)
         cores.push_back(static_cast<CoreId>((n + k) % n_cores));
-      evaluate(platform, estimator, die_wide, profiles,
+      evaluate(platform, eng, profiles,
                random_assignment(rng, n_cores, cores, sc.processes,
                                  profiles.size()),
                scenario_seed * 131 + n, &result, &result_die_wide);

@@ -2,7 +2,7 @@
 //
 // Given a batch of profiled processes, the model prices every
 // process-to-core mapping from profiles alone — no trial runs. Here
-// the ModelEngine facade does the sweep: all k^cores placements become
+// the ModelEngine facade does the sweep: all cores^k placements become
 // CoScheduleQuery candidates and one predict_batch call prices them in
 // parallel, memoizing each process's fill curve across the batch. We
 // then run the best and worst mappings on the simulator to show the
@@ -14,6 +14,7 @@
 
 #include "repro/core/power_model.hpp"
 #include "repro/core/profiler.hpp"
+#include "repro/engine/assignment.hpp"
 #include "repro/engine/model_engine.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/generator.hpp"
@@ -84,23 +85,12 @@ int main() {
   for (const core::ProcessProfile& p : profiles)
     handles.push_back(eng.register_process(p));
 
-  // Enumerate every process-to-core placement as a query batch.
+  // Every process-to-core placement becomes one query of the batch.
   std::vector<engine::CoScheduleQuery> candidates;
-  {
-    std::vector<std::uint32_t> placement(profiles.size(), 0);
-    while (true) {
-      engine::CoScheduleQuery q;
-      q.assignment = core::Assignment::empty(machine.cores);
-      for (std::size_t p = 0; p < profiles.size(); ++p)
-        q.assignment.per_core[placement[p]].push_back(handles[p]);
-      candidates.push_back(std::move(q));
-      std::size_t p = 0;
-      while (p < profiles.size() && ++placement[p] == machine.cores) {
-        placement[p] = 0;
-        ++p;
-      }
-      if (p == profiles.size()) break;
-    }
+  for (core::Assignment& a : engine::placements(handles, machine.cores)) {
+    engine::CoScheduleQuery q;
+    q.assignment = std::move(a);
+    candidates.push_back(std::move(q));
   }
   const std::vector<engine::SystemPrediction> predictions =
       eng.predict_batch(candidates);

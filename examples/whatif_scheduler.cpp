@@ -4,18 +4,19 @@
 // core yields one co-schedule query, and a single predict_batch call
 // prices them all — per-process operating points, per-core power, and
 // the package total — from profiles alone. The paper's incremental
-// Fig. 1 estimator (reusing *measured* per-core powers for the
-// combinations the newcomer does not touch) is run alongside for
-// comparison: the two agree wherever the newcomer lands on an idle
-// core, and the engine needs no live HPC snapshot at all.
+// Fig. 1 estimate (reusing *measured* per-core powers for the
+// combinations the newcomer does not touch, on the same engine
+// snapshot) is run alongside for comparison: the two agree wherever
+// the newcomer lands on an idle core, and the engine needs no live HPC
+// snapshot at all.
 //
 // Build & run:  ./build/examples/whatif_scheduler
 #include <cstdio>
 #include <memory>
 
-#include "repro/core/combined.hpp"
 #include "repro/core/power_model.hpp"
 #include "repro/core/profiler.hpp"
+#include "repro/engine/assignment.hpp"
 #include "repro/engine/model_engine.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/generator.hpp"
@@ -84,15 +85,15 @@ int main() {
     q.assignment.per_core[c].push_back(mcf);
     candidates.push_back(std::move(q));
   }
+  const std::shared_ptr<const engine::EngineSnapshot> snap = eng.snapshot();
   const std::vector<engine::SystemPrediction> predictions =
-      eng.predict_batch(candidates);
+      eng.predict_batch(*snap, candidates);
 
-  const core::CombinedEstimator fig1(model, machine);
   std::printf("\nWhat-if: assign incoming mcf to...\n");
   CoreId best_core = 0;
   for (CoreId c = 0; c < machine.cores; ++c) {
-    const Watts incremental = fig1.estimate_after_assign(
-        profiles, current, mcf, c, core_power);
+    const Watts incremental = engine::estimate_after_assign(
+        eng, *snap, current, mcf, c, core_power);
     std::printf("  core %u -> engine %.1f W, Fig. 1 incremental %.1f W%s\n",
                 c, predictions[c].total_power, incremental,
                 current.per_core[c].empty() ? "" : "  (time-shared)");

@@ -84,14 +84,4 @@ class PowerModel {
   std::uint32_t cores_;
 };
 
-/// §4.2: core power under round-robin time sharing is the equal-weight
-/// average of the per-process core powers.
-Watts time_shared_core_power(std::span<const Watts> process_powers);
-
-/// Eq. 10: average power of a set of cache-sharing cores over all
-/// process combinations. `combination_power[j]` is the summed power of
-/// combination j; the average is plain (all combinations equally
-/// likely under equal timeslices).
-Watts core_set_power(std::span<const Watts> combination_powers);
-
 }  // namespace repro::core

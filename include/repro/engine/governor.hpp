@@ -36,10 +36,6 @@ struct GovernorOptions {
   /// the governor switches to uniform-frequency tuples + greedy
   /// refinement and reports exhaustive = false.
   std::size_t max_candidates = 65536;
-  /// plan(processes) enumerates every process-to-core placement when
-  /// true; false pins the balanced round-robin placement and searches
-  /// frequencies only.
-  bool search_assignments = true;
 };
 
 /// One governor decision: the chosen operating point and how it was
@@ -64,6 +60,9 @@ class Governor {
 
   /// Joint search: place `processes` (engine handles) on cores and
   /// clock the cores, maximizing predicted throughput under the cap.
+  /// Every placement (engine/assignment.hpp) is a candidate while their
+  /// count fits max_candidates; beyond it only the balanced round-robin
+  /// placement is.
   GovernorDecision plan(std::span<const ProcessHandle> processes) const;
 
   /// Frequency-only search for a fixed assignment (the re-plan path

@@ -119,18 +119,4 @@ Watts PowerModel::dynamic_power(const hpc::EventRates& rates) const {
   return p;
 }
 
-Watts time_shared_core_power(std::span<const Watts> process_powers) {
-  REPRO_ENSURE(!process_powers.empty(), "no processes on core");
-  double sum = 0.0;
-  for (Watts p : process_powers) sum += p;
-  return sum / static_cast<double>(process_powers.size());
-}
-
-Watts core_set_power(std::span<const Watts> combination_powers) {
-  REPRO_ENSURE(!combination_powers.empty(), "no combinations");
-  double sum = 0.0;
-  for (Watts p : combination_powers) sum += p;
-  return sum / static_cast<double>(combination_powers.size());
-}
-
 }  // namespace repro::core

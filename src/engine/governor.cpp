@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "repro/common/ensure.hpp"
+#include "repro/engine/assignment.hpp"
 
 namespace repro::engine {
 
@@ -52,26 +53,12 @@ GovernorDecision Governor::plan(
   const std::uint32_t cores = engine_.machine().cores;
 
   std::vector<core::Assignment> assignments;
-  const std::size_t placements =
-      tuple_count(cores, processes.size(), options_.max_candidates);
-  if (options_.search_assignments &&
-      placements <= options_.max_candidates) {
-    // Every process-to-core placement, enumerated as a base-`cores`
-    // odometer over the process list (process 0 is the slowest digit)
-    // — deterministic, so a plan is replayable.
-    std::vector<CoreId> digit(processes.size(), 0);
-    while (true) {
-      core::Assignment a = core::Assignment::empty(cores);
-      for (std::size_t p = 0; p < processes.size(); ++p)
-        a.per_core[digit[p]].push_back(processes[p]);
-      assignments.push_back(std::move(a));
-      std::size_t p = processes.size();
-      while (p > 0 && ++digit[p - 1] == cores) digit[--p] = 0;
-      if (p == 0) break;
-    }
+  if (tuple_count(cores, processes.size(), options_.max_candidates) <=
+      options_.max_candidates) {
+    assignments = placements(processes, cores);
   } else {
-    // Over budget (or pinned): balanced round-robin placement only,
-    // frequencies stay the whole search space.
+    // Over budget: balanced round-robin placement only, frequencies
+    // stay the whole search space.
     core::Assignment a = core::Assignment::empty(cores);
     for (std::size_t p = 0; p < processes.size(); ++p)
       a.per_core[p % cores].push_back(processes[p]);

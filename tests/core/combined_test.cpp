@@ -1,22 +1,27 @@
+// The combined model (§5) on simulator-backed profiles: the Eq. 10
+// estimate and the Fig. 1 incremental form against measured power, and
+// the exhaustive assignment search.
 #include "repro/core/combined.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "repro/core/assignment.hpp"
+#include "repro/engine/assignment.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/generator.hpp"
 
 namespace repro::core {
 namespace {
 
-// Shared fixture state: profiling + power-model training once.
+// Shared fixture state: profiling + power-model training once. The
+// engine registers the profiles in order, so profile indices double as
+// engine handles.
 struct CombinedWorld {
   sim::MachineConfig machine = sim::two_core_workstation();
   power::OracleConfig oracle = power::oracle_for_two_core_workstation();
   std::vector<ProcessProfile> profiles;
-  std::unique_ptr<CombinedEstimator> estimator;
+  std::unique_ptr<engine::ModelEngine> eng;
 
   CombinedWorld() {
     const StressmarkProfiler profiler(machine, oracle);
@@ -31,9 +36,15 @@ struct CombinedWorld {
     PowerModel model = PowerModel::train(machine, oracle,
                                          {"gzip", "mcf", "art", "equake"},
                                          opt);
-    estimator = std::make_unique<CombinedEstimator>(std::move(model),
-                                                    machine);
+    eng = std::make_unique<engine::ModelEngine>(machine, std::move(model));
+    for (const ProcessProfile& p : profiles) eng->register_process(p);
   }
+
+  /// The paper's §5 estimate (Eq. 10/11).
+  Watts estimate(const Assignment& a) const {
+    return engine::estimate_eq10(*eng, *eng->snapshot(), a).total_power;
+  }
+  Watts idle_total() const { return eng->power_model().idle_total(); }
 
   static const CombinedWorld& instance() {
     static const CombinedWorld world;
@@ -82,27 +93,26 @@ TEST(Assignment, ValidatesShape) {
   EXPECT_THROW(a.validate(2, 1), Error);
 }
 
-TEST(CombinedEstimator, EmptyAssignmentIsIdlePower) {
+TEST(CombinedModel, EmptyAssignmentIsIdlePower) {
   const CombinedWorld& w = CombinedWorld::instance();
   const Assignment a = Assignment::empty(w.machine.cores);
-  EXPECT_NEAR(w.estimator->estimate(w.profiles, a),
-              w.estimator->power_model().idle_total(), 1e-9);
+  EXPECT_NEAR(w.estimate(a), w.idle_total(), 1e-9);
 }
 
-TEST(CombinedEstimator, SingleProcessMatchesProfiledAlonePower) {
+TEST(CombinedModel, SingleProcessMatchesProfiledAlonePower) {
   const CombinedWorld& w = CombinedWorld::instance();
   const Assignment a = assign(w, {{"equake"}, {}});
-  const Watts est = w.estimator->estimate(w.profiles, a);
+  const Watts est = w.estimate(a);
   const Watts alone = w.profiles[w.index("equake")].power_alone;
   EXPECT_NEAR(est / alone, 1.0, 0.06);
 }
 
-TEST(CombinedEstimator, OneProcessPerCoreWithinFewPercentOfMeasured) {
+TEST(CombinedModel, OneProcessPerCoreWithinFewPercentOfMeasured) {
   const CombinedWorld& w = CombinedWorld::instance();
   for (auto layout : {std::pair{"gzip", "mcf"}, std::pair{"vpr", "equake"},
                       std::pair{"mcf", "vpr"}}) {
     const Assignment a = assign(w, {{layout.first}, {layout.second}});
-    const Watts est = w.estimator->estimate(w.profiles, a);
+    const Watts est = w.estimate(a);
     const Watts meas = w.simulate(a, 101);
     EXPECT_NEAR(est / meas, 1.0, 0.08)
         << layout.first << "+" << layout.second << " est " << est
@@ -110,68 +120,62 @@ TEST(CombinedEstimator, OneProcessPerCoreWithinFewPercentOfMeasured) {
   }
 }
 
-TEST(CombinedEstimator, TimeSharedCoreWithinFewPercentOfMeasured) {
+TEST(CombinedModel, TimeSharedCoreWithinFewPercentOfMeasured) {
   const CombinedWorld& w = CombinedWorld::instance();
   const Assignment a = assign(w, {{"gzip", "mcf"}, {"vpr", "equake"}});
-  const Watts est = w.estimator->estimate(w.profiles, a);
+  const Watts est = w.estimate(a);
   const Watts meas = w.simulate(a, 102);
   EXPECT_NEAR(est / meas, 1.0, 0.08) << "est " << est << " meas " << meas;
 }
 
-TEST(CombinedEstimator, AllProcessesOnOneCoreWithinFewPercent) {
+TEST(CombinedModel, AllProcessesOnOneCoreWithinFewPercent) {
   // The paper's easiest scenario (Table 4, "3 cores unused"): no cache
   // contention at all, so errors should be smallest.
   const CombinedWorld& w = CombinedWorld::instance();
   const Assignment a = assign(w, {{"gzip", "mcf", "vpr", "equake"}, {}});
-  const Watts est = w.estimator->estimate(w.profiles, a);
+  const Watts est = w.estimate(a);
   const Watts meas = w.simulate(a, 103);
   EXPECT_NEAR(est / meas, 1.0, 0.06) << "est " << est << " meas " << meas;
 }
 
-TEST(CombinedEstimator, MoreLoadNeverPredictsLessPowerThanIdle) {
+TEST(CombinedModel, MoreLoadNeverPredictsLessPowerThanIdle) {
   const CombinedWorld& w = CombinedWorld::instance();
   const Assignment b = assign(w, {{"mcf"}, {"vpr"}});
-  EXPECT_GT(w.estimator->estimate(w.profiles, b),
-            w.estimator->power_model().idle_total());
+  EXPECT_GT(w.estimate(b), w.idle_total());
 }
 
-TEST(CombinedEstimator, Fig1IncrementalMatchesPureEstimate) {
+TEST(CombinedModel, Fig1IncrementalMatchesPureEstimate) {
   // With current powers taken from the pure model at the current
   // assignment, the incremental Fig. 1 path must approximate the pure
   // estimate of the grown assignment.
   const CombinedWorld& w = CombinedWorld::instance();
   const Assignment current = assign(w, {{"gzip"}, {}});
   // Current per-core powers: core 0 runs gzip alone, core 1 idle.
-  std::vector<Watts> core_power(w.machine.cores,
-                                w.estimator->power_model().idle_core());
+  const PowerModel model = w.eng->power_model();
+  std::vector<Watts> core_power(w.machine.cores, model.idle_core());
   const auto& gzip = w.profiles[w.index("gzip")];
-  core_power[0] += w.estimator->process_dynamic_power(
-      gzip, gzip.alone.spi, gzip.alone.l2mpr);
+  core_power[0] += process_dynamic_power(model, gzip.alone, gzip.alone.spi,
+                                         gzip.alone.l2mpr);
 
-  const Watts incremental = w.estimator->estimate_after_assign(
-      w.profiles, current, w.index("mcf"), 1, core_power);
+  const auto mcf = static_cast<engine::ProcessHandle>(w.index("mcf"));
+  const Watts incremental = engine::estimate_after_assign(
+      *w.eng, *w.eng->snapshot(), current, mcf, 1, core_power);
   Assignment grown = current;
-  grown.per_core[1].push_back(w.index("mcf"));
-  const Watts pure = w.estimator->estimate(w.profiles, grown);
+  grown.per_core[1].push_back(mcf);
+  const Watts pure = w.estimate(grown);
   EXPECT_NEAR(incremental / pure, 1.0, 0.05);
 }
 
-TEST(AssignmentOptimizer, ExhaustiveFindsNoWorseThanGreedy) {
+TEST(AssignmentOptimizer, ExhaustiveFindsTheMinimumPlacement) {
   const CombinedWorld& w = CombinedWorld::instance();
-  const auto exhaustive = optimize_assignment(*w.estimator, w.profiles);
-  const auto greedy = greedy_assignment(*w.estimator, w.profiles);
-  EXPECT_LE(exhaustive.predicted_power, greedy.predicted_power + 1e-9);
-  EXPECT_EQ(exhaustive.assignment.process_count(), w.profiles.size());
-  EXPECT_EQ(exhaustive.evaluated, 16u);  // 2 cores ^ 4 processes
-}
-
-TEST(AssignmentOptimizer, PlacesEveryProcessExactlyOnce) {
-  const CombinedWorld& w = CombinedWorld::instance();
-  const auto result = greedy_assignment(*w.estimator, w.profiles);
-  std::vector<int> seen(w.profiles.size(), 0);
-  for (const auto& q : result.assignment.per_core)
-    for (std::size_t idx : q) ++seen[idx];
-  for (int s : seen) EXPECT_EQ(s, 1);
+  const std::vector<engine::ProcessHandle> procs{0, 1, 2, 3};
+  const auto best = engine::optimize_assignment(*w.eng, procs);
+  EXPECT_EQ(best.assignment.process_count(), w.profiles.size());
+  for (const Assignment& a : engine::placements(procs, w.machine.cores)) {
+    engine::CoScheduleQuery q;
+    q.assignment = a;
+    EXPECT_LE(best.prediction.total_power, w.eng->predict(q).total_power);
+  }
 }
 
 }  // namespace

@@ -122,18 +122,6 @@ TEST(PowerModelValidation, TracksIdleCores) {
   EXPECT_LT(math::mean_abs_pct_error(est, meas), 8.0);
 }
 
-TEST(PowerModelHelpers, TimeSharingAveragesProcessPowers) {
-  const std::vector<Watts> powers{20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(time_shared_core_power(powers), 30.0);
-  EXPECT_THROW(time_shared_core_power({}), Error);
-}
-
-TEST(PowerModelHelpers, CoreSetAveragesCombinations) {
-  const std::vector<Watts> combos{50.0, 70.0};
-  EXPECT_DOUBLE_EQ(core_set_power(combos), 60.0);
-  EXPECT_THROW(core_set_power({}), Error);
-}
-
 TEST(PowerModel, PredictAddsPerCoreDynamicPower) {
   const PowerModel model(40.0, {1e-9, 0.0, 0.0, 0.0, 0.0}, 4);
   hpc::EventRates r;

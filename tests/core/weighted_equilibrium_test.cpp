@@ -1,10 +1,9 @@
 // Tests for the CPU-share-weighted equilibrium (time-sharing-aware
-// contention) and the die-wide estimator mode.
+// contention) and warm-started solves.
 #include <gtest/gtest.h>
 
-#include "repro/core/combined.hpp"
+#include "repro/common/ensure.hpp"
 #include "repro/core/perf_model.hpp"
-#include "repro/sim/machine.hpp"
 
 namespace repro::core {
 namespace {
@@ -150,68 +149,6 @@ TEST(WarmStart, BisectionAcceptsSeedsAndStats) {
   SolveOptions bad;
   bad.warm_start = std::span<const double>(seed.data(), 1);
   EXPECT_THROW(solver.solve(procs, bad), Error);
-}
-
-// --- Die-wide estimator mode. ------------------------------------------
-
-ProcessProfile profile_of(const FeatureVector& f) {
-  ProcessProfile p;
-  p.name = f.name;
-  p.features = f;
-  p.alone.l1rpi = 0.33;
-  p.alone.l2rpi = f.api;
-  p.alone.brpi = 0.15;
-  p.alone.fppi = 0.05;
-  p.alone.l2mpr = f.histogram.mpa(16.0);
-  p.alone.spi = f.spi_at(p.alone.l2mpr);
-  p.power_alone = 55.0;
-  return p;
-}
-
-PowerModel model() {
-  return PowerModel(45.0, {6.0e-9, 2.2e-8, -1.0e-7, 4.5e-9, 5.5e-9}, 4);
-}
-
-TEST(DieWideMode, MatchesPaperModeWhenNoTimeSharing) {
-  // One process per core: both modes solve the same equilibrium.
-  const CombinedEstimator paper(model(), sim::four_core_server());
-  const CombinedEstimator wide(model(), sim::four_core_server(),
-                               EquilibriumOptions{},
-                               EstimatorMode::kDieWideEquilibrium);
-  const std::vector<ProcessProfile> profiles{profile_of(worker()),
-                                             profile_of(sprinter())};
-  Assignment a = Assignment::empty(4);
-  a.per_core[0].push_back(0);
-  a.per_core[1].push_back(1);
-  EXPECT_NEAR(paper.estimate(profiles, a), wide.estimate(profiles, a),
-              0.02);
-}
-
-TEST(DieWideMode, TimeSharedHogsPredictHigherMissRatesThanPaperMode) {
-  // Four cache-hungry processes on ONE core: the paper mode prices
-  // each at the full-cache point; the die-wide mode splits the cache
-  // four ways, predicting slower, lower-powered execution.
-  const CombinedEstimator paper(model(), sim::four_core_server());
-  const CombinedEstimator wide(model(), sim::four_core_server(),
-                               EquilibriumOptions{},
-                               EstimatorMode::kDieWideEquilibrium);
-  std::vector<ProcessProfile> profiles;
-  for (int i = 0; i < 4; ++i) profiles.push_back(profile_of(worker()));
-  Assignment a = Assignment::empty(4);
-  for (std::size_t p = 0; p < 4; ++p) a.per_core[0].push_back(p);
-
-  const auto d_paper = paper.estimate_detailed(profiles, a);
-  const auto d_wide = wide.estimate_detailed(profiles, a);
-  EXPECT_LT(d_wide.throughput_ips, d_paper.throughput_ips);
-  EXPECT_LT(d_wide.power, d_paper.power);
-}
-
-TEST(DieWideMode, IdleMachineUnchanged) {
-  const CombinedEstimator wide(model(), sim::four_core_server(),
-                               EquilibriumOptions{},
-                               EstimatorMode::kDieWideEquilibrium);
-  const std::vector<ProcessProfile> profiles{profile_of(worker())};
-  EXPECT_DOUBLE_EQ(wide.estimate(profiles, Assignment::empty(4)), 45.0);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //   cmpmodel estimate --machine server --store s.txt
 //                     --assign "gzip,mcf;vpr;;equake"
 //   cmpmodel assign   --machine server --store s.txt
-//                     --jobs gzip,mcf,art,equake
+//                     --jobs gzip,mcf,art,equake [--objective energy]
 //   cmpmodel simulate --machine server --assign "gzip;mcf" [--seconds 0.3]
 //   cmpmodel watch    --machine workstation --assign "gzip>art;mcf"
 //                     [--seconds 1.5] [--store s.txt] [--json on]
@@ -93,11 +93,15 @@
 // trace as "kind":"power" events in the same seq space as profile
 // revisions.
 //
-// predict and estimate run on the ModelEngine facade: predict places
-// the named processes one per core starting at core 0 (so on the
-// 4-core server the first two share die 0's cache), estimate prices a
-// full assignment — per-process operating points, per-core power, and
-// total power in one prediction.
+// predict, estimate and assign run on the ModelEngine facade: predict
+// places the named processes one per core starting at core 0 (so on
+// the 4-core server the first two share die 0's cache), estimate
+// prices a full assignment — per-process operating points, per-core
+// power, and total power in one prediction — and assign searches every
+// placement of --jobs (a name may repeat; each occurrence is one job)
+// for the minimum --objective power|energy. assign prices with the
+// same predictions as estimate, so the watts it reports for the
+// mapping it picks are the watts estimate prints for that mapping.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -108,12 +112,12 @@
 #include <string>
 #include <vector>
 
-#include "repro/core/assignment.hpp"
 #include "repro/core/combined.hpp"
 #include "repro/core/perf_model.hpp"
 #include "repro/core/power_model.hpp"
 #include "repro/core/profiler.hpp"
 #include "repro/core/serialize.hpp"
+#include "repro/engine/assignment.hpp"
 #include "repro/engine/checkpoint.hpp"
 #include "repro/engine/model_engine.hpp"
 #include "repro/math/stats.hpp"
@@ -358,33 +362,36 @@ int cmd_assign(const Args& args) {
   REPRO_ENSURE(store.power_model.has_value(),
                "store has no power model — run `cmpmodel train`");
   const std::vector<std::string> names = split(args.require("jobs"), ',');
-  const std::vector<core::ProcessProfile> profiles =
-      lookup_profiles(store, names);
 
   const std::string objective_name = args.get("objective", "power");
-  core::AssignmentObjective objective;
+  engine::AssignmentObjective objective;
   if (objective_name == "power") {
-    objective = core::AssignmentObjective::kPower;
+    objective = engine::AssignmentObjective::kPower;
   } else if (objective_name == "energy") {
-    objective = core::AssignmentObjective::kEnergyPerInstruction;
+    objective = engine::AssignmentObjective::kEnergyPerInstruction;
   } else {
     throw Error("unknown --objective (expected power|energy)");
   }
 
-  const core::CombinedEstimator estimator(*store.power_model, m.machine);
-  const core::AssignmentSearchResult best =
-      core::optimize_assignment(estimator, profiles, objective);
+  // One handle per job position: a repeated name is one registration
+  // placed once per occurrence.
+  std::vector<engine::ProcessHandle> handles;
+  const auto eng = make_engine(m, store, names, &handles);
+  const engine::AssignmentSearchResult best =
+      engine::optimize_assignment(*eng, handles, objective);
   std::printf(
       "searched %zu mappings; best by %s: %.2f W at %.2f Ginstr/s "
       "(%.3f nJ/instr)\n",
-      best.evaluated, objective_name.c_str(), best.predicted_power,
-      best.predicted_throughput_ips / 1e9,
-      1e9 * best.predicted_power / best.predicted_throughput_ips);
+      best.evaluated, objective_name.c_str(), best.prediction.total_power,
+      best.prediction.throughput_ips / 1e9,
+      1e9 * best.prediction.energy_per_instruction());
   for (std::size_t c = 0; c < best.assignment.per_core.size(); ++c) {
     std::printf("  core %zu:", c);
     if (best.assignment.per_core[c].empty()) std::printf(" (idle)");
-    for (std::size_t idx : best.assignment.per_core[c])
-      std::printf(" %s", names[idx].c_str());
+    for (std::size_t handle : best.assignment.per_core[c])
+      std::printf(" %s",
+                  eng->profile(static_cast<engine::ProcessHandle>(handle))
+                      .name.c_str());
     std::printf("\n");
   }
   return 0;
