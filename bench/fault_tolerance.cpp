@@ -31,7 +31,7 @@
 #include "repro/core/power_model.hpp"
 #include "repro/core/profiler.hpp"
 #include "repro/engine/model_engine.hpp"
-#include "repro/online/pipeline.hpp"
+#include "repro/online/sharded_pipeline.hpp"
 #include "repro/sim/fault_injector.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/generator.hpp"
@@ -52,7 +52,7 @@ struct ArmResult {
   /// stream order: what a consumer of latest() acted on mid-run.
   std::vector<double> event_spi;
   std::vector<double> event_power;
-  online::OnlinePipeline::Stats stats;
+  online::PipelineStats stats;
   online::SanitizerStats san;
   sim::FaultInjector::Stats inj;
 };
@@ -71,7 +71,7 @@ ArmResult run_arm(const sim::MachineConfig& machine,
   const engine::ProcessHandle target_h = eng.register_process(target_profile);
   const engine::ProcessHandle rival_h = eng.register_process(rival_profile);
 
-  online::OnlinePipelineOptions popt;
+  online::ShardedPipelineOptions popt;
   popt.harden = harden;
   popt.builder.refit_interval = 8;
   popt.builder.min_fit_windows = 4;
@@ -80,8 +80,8 @@ ArmResult run_arm(const sim::MachineConfig& machine,
   // phase; only a genuine several-fold jump should restart it.
   popt.builder.phase.relative_threshold = 0.75;
   popt.builder.phase.absolute_threshold = 0.05;
-  online::OnlinePipeline pipe(eng, popt);
-  pipe.monitor(target_pid, target_h);
+  online::ShardedPipeline pipe(eng, popt);
+  pipe.monitor(target_pid, /*die=*/0, target_h);
 
   engine::CoScheduleQuery query;
   query.assignment = core::Assignment::empty(machine.cores);
@@ -116,7 +116,7 @@ ArmResult run_arm(const sim::MachineConfig& machine,
       r.event_spi.push_back(e.prediction.processes[0].prediction.spi);
       r.event_power.push_back(e.prediction.total_power);
     }
-  const online::OnlinePipeline::Snapshot snap = pipe.snapshot();
+  const online::PipelineSnapshot snap = pipe.snapshot();
   r.stats = snap.stats;
   r.san = snap.sanitizer;
   r.inj = inj.stats();

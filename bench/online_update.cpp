@@ -30,7 +30,7 @@
 #include "harness.hpp"
 #include "repro/core/profiler.hpp"
 #include "repro/engine/model_engine.hpp"
-#include "repro/online/pipeline.hpp"
+#include "repro/online/profile_builder.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/phased.hpp"
 #include "repro/workload/spec.hpp"

@@ -31,7 +31,7 @@
 #include "repro/core/power_model.hpp"
 #include "repro/engine/model_engine.hpp"
 #include "repro/math/stats.hpp"
-#include "repro/online/pipeline.hpp"
+#include "repro/online/sharded_pipeline.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/generator.hpp"
 #include "repro/workload/spec.hpp"
@@ -61,12 +61,12 @@ ArmResult run_arm(const sim::MachineConfig& machine,
   eng_options.threads = 1;
   engine::ModelEngine eng(machine, calibrated, eng_options);
 
-  online::OnlinePipelineOptions popt;
+  online::ShardedPipelineOptions popt;
   popt.power.enabled = refit;
   popt.power.window = 64;
   popt.power.refit_interval = 8;
   popt.power.min_fit_windows = 16;
-  online::OnlinePipeline pipe(eng, popt);
+  online::ShardedPipeline pipe(eng, popt);
 
   ArmResult r;
   r.final_model = calibrated;
@@ -94,7 +94,7 @@ ArmResult run_arm(const sim::MachineConfig& machine,
                   e.time, e.reason.c_str(), e.r2, e.candidate_err_pct,
                   e.incumbent_err_pct);
     }
-  const online::OnlinePipeline::Stats stats = pipe.snapshot().stats;
+  const online::PipelineStats stats = pipe.snapshot().stats;
   r.revisions = stats.power_revisions;
   r.rejected = stats.power_rejected;
   r.engine_revision = eng.power_revision();

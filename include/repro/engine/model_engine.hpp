@@ -136,7 +136,7 @@ struct SystemPrediction {
   /// the warm-start effectiveness signal (1–2 per die when seeded near
   /// the fixed point, ~hundreds for a cold bisection).
   int solver_iterations = 0;
-  /// Set by OnlinePipeline when this prediction is a carried-forward
+  /// Set by ShardedPipeline when this prediction is a carried-forward
   /// last-good operating point rather than a fresh re-solve (the
   /// degradation policy); the engine itself always leaves it false.
   bool degraded = false;

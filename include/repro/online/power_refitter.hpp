@@ -18,8 +18,8 @@
 //      retained window must not exceed max_error_ratio × the
 //      incumbent model's error over the *same* rows.
 //
-// The refitter itself is passive and unsynchronized: OnlinePipeline
-// owns one under its pipeline mutex and forwards accepted candidates
+// The refitter itself is passive and unsynchronized: ShardedPipeline
+// owns one under its coordinator mutex and forwards accepted candidates
 // to ModelEngine::try_apply(Revision::power_model(...))
 // (validate-before-mutate, degrades to last-good exactly like the
 // profile path).

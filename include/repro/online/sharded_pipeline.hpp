@@ -1,4 +1,4 @@
-// ShardedPipeline — the sharded on-line pipeline (ISSUE 7).
+// ShardedPipeline — the on-line pipeline.
 //
 //   die-tagged windows ──► [RingSet fan-in ──► shard worker]  × S
 //                                      │  per-die sanitize/stream/build
@@ -11,13 +11,18 @@
 //                                      ▼
 //             ModelEngine::try_apply → re-solve → unified event log
 //
-// The monolithic OnlinePipeline ran sanitizer, builders, engine
-// mutation, and re-solve under one mutex — one window at a time, no
-// matter how many dies fed it. ShardedPipeline splits the *streaming*
-// half across per-die shards that run concurrently, and keeps the
-// *model* half exactly where it was: one coordinator owning the one
-// serialized path into ModelEngine::try_apply and the one globally
-// ordered event log.
+// Wire `sink()` as System::run's sample callback and the model tracks
+// the running workload: every confirmed phase change or periodic refit
+// flows through as a profile revision, invalidates exactly that
+// process's memoized artifacts, and re-prices the current co-schedule
+// warm-started from the previous equilibrium (1–2 Newton iterations
+// seeded from the previous S_i) instead of from scratch. The events()
+// log is the per-phase SPI/power trace the tools and examples report.
+//
+// The *streaming* half (sanitizer, phase detector, profile builders)
+// is split across per-die shards that run concurrently; the *model*
+// half is one coordinator owning the one serialized path into
+// ModelEngine::try_apply and the one globally ordered event log.
 //
 // Determinism: each shard hands the coordinator WindowBatches in its
 // dies' ingest order; the coordinator buffers them keyed on
@@ -36,10 +41,9 @@
 // while holding mutex_ (monitor/finish/quarantined talk to shards
 // unlocked), so the order is acyclic. ring_mutex (parking) stays leaf.
 //
-// With shards = producers = 1 the whole construction degenerates to
-// the old pipeline: one lane, one shard, immediate delivery — and the
-// output (events, revisions, health counters) is bit-identical, which
-// is what lets OnlinePipeline be a thin facade over this class.
+// The defaults, shards = producers = 1, are the single-stream
+// pipeline: one lane, one shard, every window released as soon as it
+// is delivered. Call monitor(pid, /*die=*/0, ...) and ignore die tags.
 #pragma once
 
 #include <atomic>
@@ -111,8 +115,9 @@ struct DurabilityOptions {
   JournalOptions journal{};
   /// Atomic engine checkpoints (temp-file + rename).
   std::string checkpoint_path;
-  /// Take a checkpoint every N journaled events; 0 = only on demand
-  /// (ShardedPipeline::checkpoint()).
+  /// Take a checkpoint every N state-changing events (applied profile
+  /// and power revisions), with or without a journal; 0 = only on
+  /// demand (ShardedPipeline::checkpoint()).
   std::size_t checkpoint_every = 0;
   /// Run recovery in the constructor. Off: start fresh — an existing
   /// journal is truncated, not replayed.
@@ -125,14 +130,18 @@ struct ShardedPipelineOptions {
   std::size_t shards = 1;
   /// Producer lanes: how many distinct Sample::die tags feed push().
   /// 1 (the default) ignores the tag entirely — every window routes to
-  /// lane 0, the single-stream mode bit-identical to OnlinePipeline.
+  /// lane 0, the single-stream mode.
   std::size_t producers = 1;
 
   /// Per-process builder configuration; `ways` is filled in from the
   /// engine's machine when left 0.
   ProfileBuilderOptions builder{};
-  /// Fault tolerance (ISSUE 3): per-die sanitizers, quality gates,
-  /// degraded re-solves. Off: the pre-hardening control arm.
+  /// Fault tolerance (ISSUE 3). On: a per-die SampleSanitizer screens
+  /// every window before the stream, revisions are gated on quality,
+  /// and a failed re-solve degrades to the last-good prediction
+  /// instead of throwing out of push(). Off: the pre-hardening
+  /// pipeline — the chaos bench's control arm, and bit-identical on
+  /// clean streams.
   bool harden = true;
   /// Sanitizer tuning; `ways` is filled in from the engine when 0.
   SampleSanitizerOptions sanitizer{};
@@ -142,25 +151,29 @@ struct ShardedPipelineOptions {
   /// events() ring capacity — the oldest PipelineEvent is evicted
   /// beyond it (snapshot() counters stay monotonic). 0 = unbounded.
   std::size_t history_capacity = 4096;
-  /// On-line power refits (ISSUE 5); see OnlinePipelineOptions::power.
-  /// In multi-lane mode the coordinator re-assembles the machine-wide
-  /// window from a complete all-forwarded slice group before feeding
-  /// the refitter (power is measured at the package, not per die).
+  /// On-line power refits (ISSUE 5). When enabled AND the engine was
+  /// built with a power model, every sanitized ground-truth window
+  /// also feeds a PowerRefitter; accepted candidates install through
+  /// ModelEngine::try_apply. Disabled (the default), the engine's
+  /// power predictions are untouched. Power is measured at the
+  /// package, not per die: the coordinator re-assembles the
+  /// machine-wide window from a complete all-forwarded slice group
+  /// before feeding the refitter.
   PowerRefitOptions power{};
 
   /// Phase-coincidence coalescing (ISSUE 7 satellite): when several
   /// same-seq lanes revise in one merge group, apply every revision
   /// but re-solve once, on the last. Off (the default) every applied
-  /// revision re-solves — the OnlinePipeline-parity behavior.
+  /// revision re-solves.
   bool coalesce_resolves = false;
   /// Quarantined windows retained per shard for forensics
   /// (`cmpmodel watch --dump-bad`); 0 disables retention.
   std::size_t quarantine_capacity = 32;
 
   /// true: push() ingests synchronously on the caller's thread —
-  /// deterministic replay, and with producers = 1 bit-identical to the
-  /// inline OnlinePipeline. false: push() enqueues on the producer
-  /// lane's SPSC ring and the owning shard's worker thread ingests.
+  /// the right choice for deterministic replay. false: push() enqueues
+  /// on the producer lane's SPSC ring and the owning shard's worker
+  /// thread ingests.
   bool inline_ingest = true;
   /// Per-lane ring capacity in windows (rounded up to a power of two)
   /// when inline_ingest is false.
@@ -171,8 +184,7 @@ struct ShardedPipelineOptions {
   DurabilityOptions durability{};
 };
 
-/// The coordinator's monotonic counters (the old OnlinePipeline::Stats
-/// plus the coalescing counter).
+/// The coordinator's monotonic counters.
 struct PipelineStats {
   std::uint64_t windows = 0;            // sample windows ingested (raw)
   std::uint64_t revisions = 0;          // profile revisions applied
@@ -188,8 +200,11 @@ struct PipelineStats {
   PipelineHealth health;                // fault-path counters
 };
 
-/// One consistent, locked copy of everything an observer needs; see
-/// OnlinePipeline::snapshot() — same contract, same tear-freedom.
+/// One consistent, locked copy of everything an observer needs: the
+/// counters, the sanitizers' verdicts, the most recent re-solved
+/// prediction, and the event cursor delimiting what events_since()
+/// has yet to return — taken in one critical section, so the fields
+/// can never be torn against each other.
 struct PipelineSnapshot {
   PipelineStats stats;
   /// Aggregated verdict counters across every per-die sanitizer;
@@ -248,8 +263,11 @@ class ShardedPipeline : private BatchSink {
   /// history_capacity entries (older events evicted).
   std::deque<PipelineEvent> events() const;
 
-  /// Events with seq >= `since`; see OnlinePipeline::events_since —
-  /// same cursor contract, one seq space across both event kinds.
+  /// Events with seq >= `since` — the eviction-proof incremental
+  /// cursor for live watchers. Events that aged out of the ring before
+  /// a poll are gone; seqs never renumber, so the cursor stays valid
+  /// regardless. Profile and power events share the one seq space, so
+  /// a single cursor observes both in their true interleaving.
   std::vector<PipelineEvent> events_since(EventCursor since) const;
 
   PipelineSnapshot snapshot() const;
@@ -322,6 +340,10 @@ class ShardedPipeline : private BatchSink {
   /// BatchSink: called by a shard with that shard's mutex held.
   void deliver(WindowBatch batch) override;
   void release_ready_locked() REPRO_REQUIRES(mutex_);
+  /// Release buffered groups with seq <= `frontier` (every group when
+  /// nullopt), in (seq, die) order.
+  void release_groups_locked(std::optional<std::uint64_t> frontier)
+      REPRO_REQUIRES(mutex_);
   void process_group_locked(std::vector<WindowBatch> group)
       REPRO_REQUIRES(mutex_);
   /// Apply one revision candidate through the engine gates. Returns
@@ -338,12 +360,13 @@ class ShardedPipeline : private BatchSink {
   void refit_power_locked(const sim::Sample& sample)
       REPRO_REQUIRES(mutex_);
   void record_event_locked(PipelineEvent event) REPRO_REQUIRES(mutex_);
-  /// Append one just-recorded event to the journal (profile events
-  /// always; power events only when applied — rejections change no
-  /// state). A write failure latches: it is counted, journaling
-  /// disables, and the pipeline runs on.
+  /// Append one just-recorded state-changing event (a profile event or
+  /// an applied power event) to the journal. A write failure latches:
+  /// it is counted, journaling disables, and the pipeline runs on.
   void journal_event_locked(const PipelineEvent& event)
       REPRO_REQUIRES(mutex_);
+  /// Count one journal write failure and disable journaling for good.
+  void latch_journal_failure();
   /// Dedicated journal-writer thread body (async policies): pops
   /// records in seq order, encodes, frames, appends, applies the
   /// fsync cadence — all off the coordinator lock.
@@ -379,9 +402,9 @@ class ShardedPipeline : private BatchSink {
   std::deque<PipelineEvent> events_ REPRO_GUARDED_BY(mutex_);
   std::uint64_t next_seq_ REPRO_GUARDED_BY(mutex_) = 0;
 
-  /// Watermark merge state (producers > 1 only): batches buffered on
-  /// (window seq, lane) and the newest seq each lane has delivered.
-  /// Frontier = min over lanes; groups with seq <= frontier release.
+  /// Watermark merge state: batches buffered on (window seq, lane)
+  /// and the newest seq each lane has delivered. Frontier = min over
+  /// lanes; groups with seq <= frontier release.
   std::map<std::pair<std::uint64_t, DieId>, WindowBatch> pending_
       REPRO_GUARDED_BY(mutex_);
   std::vector<std::optional<std::uint64_t>> delivered_

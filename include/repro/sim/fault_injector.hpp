@@ -83,7 +83,7 @@ struct FaultInjectorOptions {
 
 class FaultInjector {
  public:
-  /// Wrap `downstream` (typically OnlinePipeline::sink()); push() the
+  /// Wrap `downstream` (typically ShardedPipeline::sink()); push() the
   /// raw samples and the downstream sees the perturbed stream.
   FaultInjector(System::SampleCallback downstream,
                 FaultInjectorOptions options);

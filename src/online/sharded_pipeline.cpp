@@ -366,15 +366,8 @@ void ShardedPipeline::deliver(WindowBatch batch) {
   phase_changes_ += batch.phase_changes;
   frequency_steps_ += batch.frequency_steps;
 
-  if (options_.producers <= 1) {
-    // Single-lane mode: no merge, every window processes immediately —
-    // the OnlinePipeline-parity path.
-    std::vector<WindowBatch> group;
-    group.push_back(std::move(batch));
-    process_group_locked(std::move(group));
-    return;
-  }
-
+  // With one lane every window releases at once: a new seq moves the
+  // frontier to itself, an old one takes the late-seq branch.
   const DieId lane = batch.die;
   if (delivered_[lane].has_value() && batch.seq <= *delivered_[lane]) {
     // Late or duplicate seq (fault-injected streams): the watermark
@@ -404,11 +397,16 @@ void ShardedPipeline::release_ready_locked() {
     if (!d.has_value()) return;
     frontier = frontier.has_value() ? std::min(*frontier, *d) : *d;
   }
-  if (!frontier.has_value()) return;
+  if (frontier.has_value()) release_groups_locked(frontier);
+}
+
+void ShardedPipeline::release_groups_locked(
+    std::optional<std::uint64_t> frontier) {
   // Release whole same-seq groups in ascending seq order; map keys are
   // (seq, lane), so each group drains in ascending die order.
-  while (!pending_.empty() && pending_.begin()->first.first <= *frontier) {
+  while (!pending_.empty()) {
     const std::uint64_t seq = pending_.begin()->first.first;
+    if (frontier.has_value() && seq > *frontier) return;
     std::vector<WindowBatch> group;
     while (!pending_.empty() && pending_.begin()->first.first == seq) {
       group.push_back(std::move(pending_.begin()->second));
@@ -568,13 +566,8 @@ std::vector<double> ShardedPipeline::warm_seeds_locked() const {
 void ShardedPipeline::refit_group_locked(
     const std::vector<WindowBatch>& group) {
   if (!refitter_.has_value()) return;
-  if (options_.producers <= 1) {
-    for (const WindowBatch& batch : group)
-      if (batch.window.has_value()) refit_power_locked(*batch.window);
-    return;
-  }
-  // Multi-lane: power is measured at the package, so the refitter
-  // needs the machine-wide window back. Re-assemble it only from a
+  // Power is measured at the package, so the refitter needs the
+  // machine-wide window back. Re-assemble it only from a
   // complete group in which every lane's slice survived sanitization —
   // a partial sum would misattribute the package power to a subset of
   // the activity. Slices partition the per-core/per-process arrays
@@ -652,7 +645,13 @@ void ShardedPipeline::refit_power_locked(const sim::Sample& sample) {
 
 void ShardedPipeline::record_event_locked(PipelineEvent event) {
   event.seq = next_seq_++;
-  journal_event_locked(event);
+  // A rejected power refit changed no engine state: nothing to make
+  // durable or to count toward the checkpoint cadence. (Rejected
+  // profile revisions never reach the log at all.)
+  if (event.is_profile() || event.power().applied) {
+    ++events_since_checkpoint_;
+    journal_event_locked(event);
+  }
   events_.push_back(std::move(event));
   if (options_.history_capacity > 0 &&
       events_.size() > options_.history_capacity) {
@@ -667,9 +666,6 @@ void ShardedPipeline::record_event_locked(PipelineEvent event) {
 
 void ShardedPipeline::journal_event_locked(const PipelineEvent& event) {
   if (!journal_enabled_.load(std::memory_order_acquire)) return;
-  // A rejected power refit changed no engine state — nothing to make
-  // durable. (Rejected profile revisions never reach the log at all.)
-  if (event.is_power() && !event.power().applied) return;
   JournalRecord record;
   record.seq = event.seq;
   record.time = event.time();
@@ -703,19 +699,21 @@ void ShardedPipeline::journal_event_locked(const PipelineEvent& event) {
       if (was_empty) journal_cv_.notify_all();
     }
     ++journaled_events_;
-    ++events_since_checkpoint_;
     return;
   }
   if (!journal_.append(record)) {
-    // Latch: count the failure once, stop journaling, keep modeling.
-    // relaxed: statistics counter; the enabled flag below carries the
-    // release ordering readers rely on.
-    journal_write_failures_.fetch_add(1, std::memory_order_relaxed);
-    journal_enabled_.store(false, std::memory_order_release);
+    latch_journal_failure();
     return;
   }
   ++journaled_events_;
-  ++events_since_checkpoint_;
+}
+
+void ShardedPipeline::latch_journal_failure() {
+  // Count the failure once, stop journaling, keep modeling.
+  // relaxed: statistics counter; the enabled flag below carries the
+  // release ordering readers rely on.
+  journal_write_failures_.fetch_add(1, std::memory_order_relaxed);
+  journal_enabled_.store(false, std::memory_order_release);
 }
 
 void ShardedPipeline::journal_loop() {
@@ -743,11 +741,7 @@ void ShardedPipeline::journal_loop() {
     // lock order stays mutex_ -> journal_mutex_, acyclic.
     for (const JournalRecord& record : batch) {
       if (!journal_enabled_.load(std::memory_order_acquire)) break;
-      if (!journal_.append(record)) {
-        // relaxed: statistics counter; surfaced via stats() only.
-        journal_write_failures_.fetch_add(1, std::memory_order_relaxed);
-        journal_enabled_.store(false, std::memory_order_release);
-      }
+      if (!journal_.append(record)) latch_journal_failure();
     }
     batch.clear();
   }
@@ -766,12 +760,8 @@ void ShardedPipeline::flush_journal() {
   // releasing journal_mutex_ after its last append gives us a
   // happens-before edge on the file state — safe to touch journal_
   // from this thread.
-  if (journal_enabled_.load(std::memory_order_acquire) &&
-      !journal_.sync()) {
-    // relaxed: statistics counter; surfaced via stats() only.
-    journal_write_failures_.fetch_add(1, std::memory_order_relaxed);
-    journal_enabled_.store(false, std::memory_order_release);
-  }
+  if (journal_enabled_.load(std::memory_order_acquire) && !journal_.sync())
+    latch_journal_failure();
 }
 
 bool ShardedPipeline::checkpoint_locked() {
@@ -782,7 +772,8 @@ bool ShardedPipeline::checkpoint_locked() {
     // atomic_write_file failed before the rename: the previous
     // checkpoint file is intact. Counted with the journal failures —
     // one counter covers every durability write path.
-    ++journal_write_failures_;
+    // relaxed: statistics counter; surfaced via stats() only.
+    journal_write_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   ++checkpoints_;
@@ -802,16 +793,7 @@ void ShardedPipeline::finish() {
     common::MutexLock lock(mutex_);
     // Flush merge groups still parked behind the watermark — a lane
     // that went idle (or never spoke) holds the frontier back forever.
-    // Map order keeps the flush in (seq, die) order.
-    while (!pending_.empty()) {
-      const std::uint64_t seq = pending_.begin()->first.first;
-      std::vector<WindowBatch> group;
-      while (!pending_.empty() && pending_.begin()->first.first == seq) {
-        group.push_back(std::move(pending_.begin()->second));
-        pending_.erase(pending_.begin());
-      }
-      process_group_locked(std::move(group));
-    }
+    release_groups_locked(std::nullopt);
   }
   // Flush every healthy builder's current phase, in slot order. Each
   // flush takes the shard lock, then the apply takes the coordinator
@@ -847,12 +829,8 @@ void ShardedPipeline::finish() {
     flush_journal();
   } else {
     common::MutexLock lock(mutex_);
-    if (journal_enabled_.load(std::memory_order_acquire) &&
-        !journal_.sync()) {
-      // relaxed: statistics counter; surfaced via stats() only.
-      journal_write_failures_.fetch_add(1, std::memory_order_relaxed);
-      journal_enabled_.store(false, std::memory_order_release);
-    }
+    if (journal_enabled_.load(std::memory_order_acquire) && !journal_.sync())
+      latch_journal_failure();
   }
   for (const auto& entry : ingress_) {
     Ingress& in = *entry;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "repro/core/power_model.hpp"
 #include "repro/engine/checkpoint.hpp"
 #include "repro/engine/model_engine.hpp"
-#include "repro/online/pipeline.hpp"
 #include "repro/online/sharded_pipeline.hpp"
 #include "repro/sim/machine.hpp"
 
@@ -529,20 +529,19 @@ TEST(Journal, PowerRecordReplayVerifiesRevisionCounter) {
       << diverged.replay_error;
 }
 
-// The single-stream facade forwards DurabilityOptions verbatim and
-// surfaces recovery() — an OnlinePipeline restart recovers the exact
-// state the previous run left behind, checkpoint plus journal tail.
-TEST(Journal, FacadeForwardsDurabilityAndRecovers) {
+// A single-lane pipeline restart recovers the exact state the previous
+// run left behind, checkpoint plus journal tail.
+TEST(Journal, PeriodicCheckpointPlusJournalTailRecovers) {
   const sim::MachineConfig machine = sim::four_core_server();
-  const std::string journal = ::testing::TempDir() + "/journal_facade.wal";
+  const std::string journal = ::testing::TempDir() + "/journal_single.wal";
   const std::string checkpoint =
-      ::testing::TempDir() + "/checkpoint_facade.txt";
+      ::testing::TempDir() + "/checkpoint_single.txt";
 
   std::string live_state;
   std::uint64_t journaled = 0;
   {
     engine::ModelEngine engine = fresh_engine(machine);
-    OnlinePipelineOptions o;
+    ShardedPipelineOptions o;
     o.builder.refit_interval = 4;
     o.builder.min_fit_windows = 3;
     o.durability.journal_path = journal;
@@ -550,8 +549,8 @@ TEST(Journal, FacadeForwardsDurabilityAndRecovers) {
     o.durability.checkpoint_every = 3;
     o.durability.journal.fsync = JournalFsync::kOff;
     o.durability.recover = false;  // fresh journal for the reference
-    OnlinePipeline pipe(engine, o);
-    pipe.monitor(0, std::string("proc0"));
+    ShardedPipeline pipe(engine, o);
+    pipe.monitor(0, /*die=*/0, std::string("proc0"));
     for (std::uint64_t seq = 0; seq < 40; ++seq)
       pipe.push(make_window(seq, machine.cores));
     pipe.finish();
@@ -562,16 +561,56 @@ TEST(Journal, FacadeForwardsDurabilityAndRecovers) {
   }
 
   engine::ModelEngine engine = fresh_engine(machine);
-  OnlinePipelineOptions o;
+  ShardedPipelineOptions o;
   o.durability.journal_path = journal;
   o.durability.checkpoint_path = checkpoint;
   o.durability.journal.fsync = JournalFsync::kOff;
-  OnlinePipeline pipe(engine, o);  // recover defaults to on
+  ShardedPipeline pipe(engine, o);  // recover defaults to on
   const RecoveryReport& report = pipe.recovery();
   EXPECT_TRUE(report.checkpoint_found) << report.checkpoint_error;
   EXPECT_TRUE(report.replay_error.empty()) << report.replay_error;
   EXPECT_EQ(report.replayed + report.skipped, journaled);
   EXPECT_GT(report.skipped, 0u);  // the checkpoint absorbed a prefix
+  EXPECT_EQ(state_key(engine), live_state);
+}
+
+// checkpoint_every counts state-changing events, not journal appends:
+// with no journal attached, a checkpoint after every applied revision
+// alone recovers the live state.
+TEST(Journal, PeriodicCheckpointWithoutJournalRecovers) {
+  const sim::MachineConfig machine = sim::four_core_server();
+  const std::string checkpoint =
+      ::testing::TempDir() + "/checkpoint_no_journal.txt";
+  std::remove(checkpoint.c_str());
+
+  std::string live_state;
+  {
+    engine::ModelEngine engine = fresh_engine(machine);
+    ShardedPipelineOptions o;
+    o.builder.refit_interval = 4;
+    o.builder.min_fit_windows = 3;
+    o.durability.checkpoint_path = checkpoint;
+    o.durability.checkpoint_every = 1;
+    o.durability.recover = false;
+    ShardedPipeline pipe(engine, o);
+    pipe.monitor(0, /*die=*/0, std::string("proc0"));
+    for (std::uint64_t seq = 0; seq < 40; ++seq)
+      pipe.push(make_window(seq, machine.cores));
+    pipe.finish();
+    const PipelineStats stats = pipe.snapshot().stats;
+    EXPECT_EQ(stats.journaled_events, 0u);
+    EXPECT_GT(stats.revisions, 1u);
+    EXPECT_EQ(stats.checkpoints, stats.revisions);
+    live_state = state_key(engine);
+  }
+
+  engine::ModelEngine engine = fresh_engine(machine);
+  ShardedPipelineOptions o;
+  o.durability.checkpoint_path = checkpoint;
+  ShardedPipeline pipe(engine, o);
+  const RecoveryReport& report = pipe.recovery();
+  EXPECT_TRUE(report.checkpoint_found) << report.checkpoint_error;
+  EXPECT_EQ(report.replayed, 0u);
   EXPECT_EQ(state_key(engine), live_state);
 }
 

@@ -1,4 +1,4 @@
-#include "repro/online/pipeline.hpp"
+#include "repro/online/sharded_pipeline.hpp"
 
 #include <gtest/gtest.h>
 
@@ -21,8 +21,8 @@
 namespace repro::online {
 namespace {
 
-OnlinePipelineOptions fast_options() {
-  OnlinePipelineOptions o;
+ShardedPipelineOptions fast_options() {
+  ShardedPipelineOptions o;
   o.builder.phase.min_phase_windows = 4;
   o.builder.refit_interval = 4;
   o.builder.min_fit_windows = 3;
@@ -71,10 +71,10 @@ sim::Sample synth_sample(double t, double occ, double mpa, double spi) {
   return s;
 }
 
-TEST(OnlinePipeline, ColdStartRegistersOnTheFirstRevision) {
+TEST(SingleLanePipeline, ColdStartRegistersOnTheFirstRevision) {
   const sim::MachineConfig machine = sim::two_core_workstation();
   engine::ModelEngine eng(machine);
-  OnlinePipeline pipe(eng, fast_options());
+  ShardedPipeline pipe(eng, fast_options());
 
   sim::SystemConfig cfg;
   cfg.machine = machine;
@@ -85,7 +85,7 @@ TEST(OnlinePipeline, ColdStartRegistersOnTheFirstRevision) {
       "gzip", 0, spec.mix,
       workload::make_generator("gzip", machine.l2.sets));
 
-  pipe.monitor(pid, "gzip");
+  pipe.monitor(pid, /*die=*/0, "gzip");
   EXPECT_EQ(pipe.handle_of(pid), std::nullopt);
   EXPECT_EQ(eng.process_count(), 0u);
 
@@ -97,7 +97,7 @@ TEST(OnlinePipeline, ColdStartRegistersOnTheFirstRevision) {
   EXPECT_EQ(eng.find("gzip"), handle);
   EXPECT_EQ(eng.process_count(), 1u);
 
-  const OnlinePipeline::Stats stats = pipe.snapshot().stats;
+  const PipelineStats stats = pipe.snapshot().stats;
   EXPECT_GE(stats.windows, 10u);
   EXPECT_GE(stats.revisions, 2u);
   EXPECT_EQ(stats.resolves, 0u) << "no query was set";
@@ -106,7 +106,7 @@ TEST(OnlinePipeline, ColdStartRegistersOnTheFirstRevision) {
   EXPECT_EQ(eng.cache_stats().invalidations, stats.revisions - 1);
 }
 
-TEST(OnlinePipeline, RevisionsReSolveTheActiveQueryWarmStarted) {
+TEST(SingleLanePipeline, RevisionsReSolveTheActiveQueryWarmStarted) {
   const sim::MachineConfig machine = sim::two_core_workstation();
   const power::OracleConfig oracle = power::oracle_for_two_core_workstation();
 
@@ -134,8 +134,8 @@ TEST(OnlinePipeline, RevisionsReSolveTheActiveQueryWarmStarted) {
                      workload::make_stressmark(machine.l2.ways / 2,
                                                machine.l2.sets));
 
-  OnlinePipeline pipe(eng, fast_options());
-  pipe.monitor(target_pid, target_h);
+  ShardedPipeline pipe(eng, fast_options());
+  pipe.monitor(target_pid, /*die=*/0, target_h);
 
   engine::CoScheduleQuery query;
   query.assignment = core::Assignment::empty(machine.cores);
@@ -146,8 +146,8 @@ TEST(OnlinePipeline, RevisionsReSolveTheActiveQueryWarmStarted) {
   system.run(0.6, pipe.sink());
   pipe.finish();
 
-  const OnlinePipeline::Snapshot snap = pipe.snapshot();
-  const OnlinePipeline::Stats& stats = snap.stats;
+  const PipelineSnapshot snap = pipe.snapshot();
+  const PipelineStats& stats = snap.stats;
   EXPECT_GE(stats.revisions, 2u);
   EXPECT_EQ(stats.resolves, stats.revisions)
       << "every revision re-prices an active query";
@@ -183,7 +183,7 @@ TEST(OnlinePipeline, RevisionsReSolveTheActiveQueryWarmStarted) {
   EXPECT_EQ(stats.solver_iterations, iters);
 }
 
-TEST(OnlinePipeline, CleanStreamParityWithAndWithoutHardening) {
+TEST(SingleLanePipeline, CleanStreamParityWithAndWithoutHardening) {
   // The acceptance bar for the sanitizer: on a clean stream the
   // hardened pipeline is bit-identical to the pre-hardening path —
   // same revisions, same predictions, down to the last bit.
@@ -213,10 +213,10 @@ TEST(OnlinePipeline, CleanStreamParityWithAndWithoutHardening) {
         eng->register_process(handmade_profile("gzip", ways));
     const engine::ProcessHandle rival_h =
         eng->register_process(handmade_profile("rival", ways));
-    OnlinePipelineOptions options = fast_options();
+    ShardedPipelineOptions options = fast_options();
     options.harden = harden;
-    auto pipe = std::make_unique<OnlinePipeline>(*eng, options);
-    pipe->monitor(pid, target_h);
+    auto pipe = std::make_unique<ShardedPipeline>(*eng, options);
+    pipe->monitor(pid, /*die=*/0, target_h);
     engine::CoScheduleQuery query;
     query.assignment = core::Assignment::empty(machine.cores);
     query.assignment.per_core[0].push_back(target_h);
@@ -276,7 +276,7 @@ TEST(OnlinePipeline, CleanStreamParityWithAndWithoutHardening) {
   EXPECT_EQ(eng_on->profile(0).revision, eng_off->profile(0).revision);
 }
 
-TEST(OnlinePipeline, RejectedRevisionsLeaveTheEngineUntouched) {
+TEST(SingleLanePipeline, RejectedRevisionsLeaveTheEngineUntouched) {
   const sim::MachineConfig machine = sim::two_core_workstation();
   const std::uint32_t ways = machine.l2.ways;
   engine::ModelEngine eng(machine);
@@ -284,10 +284,10 @@ TEST(OnlinePipeline, RejectedRevisionsLeaveTheEngineUntouched) {
       eng.register_process(handmade_profile("target", ways));
   const std::uint64_t base_revision = eng.profile(handle).revision;
 
-  OnlinePipelineOptions options = fast_options();
+  ShardedPipelineOptions options = fast_options();
   options.max_fit_rms = 1e-12;  // any real residual fails the gate
-  OnlinePipeline pipe(eng, options);
-  pipe.monitor(/*pid=*/0, handle);
+  ShardedPipeline pipe(eng, options);
+  pipe.monitor(/*pid=*/0, /*die=*/0, handle);
 
   // Constant MPA with alternating SPI: every fit falls back to the
   // phase-mean line and carries a large relative residual.
@@ -298,7 +298,7 @@ TEST(OnlinePipeline, RejectedRevisionsLeaveTheEngineUntouched) {
   }
   pipe.finish();
 
-  const OnlinePipeline::Stats stats = pipe.snapshot().stats;
+  const PipelineStats stats = pipe.snapshot().stats;
   EXPECT_GE(stats.health.revisions_rejected, 2u);
   EXPECT_EQ(stats.revisions, 0u);
   EXPECT_TRUE(pipe.events().empty()) << "rejected revisions leave no event";
@@ -307,7 +307,7 @@ TEST(OnlinePipeline, RejectedRevisionsLeaveTheEngineUntouched) {
   EXPECT_EQ(eng.cache_stats().invalidations, 0u);
 }
 
-TEST(OnlinePipeline, FailedReSolvesDegradeInsteadOfThrowingOutOfSink) {
+TEST(SingleLanePipeline, FailedReSolvesDegradeInsteadOfThrowingOutOfSink) {
   const sim::MachineConfig machine = sim::two_core_workstation();
   const std::uint32_t ways = machine.l2.ways;
   // min_ways = A/2 makes any 2-process equilibrium on the shared die
@@ -326,7 +326,7 @@ TEST(OnlinePipeline, FailedReSolvesDegradeInsteadOfThrowingOutOfSink) {
   query.assignment.per_core[0].push_back(target_h);
   query.assignment.per_core[1].push_back(rival_h);
 
-  auto feed = [&](OnlinePipeline& pipe) {
+  auto feed = [&](ShardedPipeline& pipe) {
     double t = 0.0;
     for (int i = 0; i < 8; ++i)
       pipe.push(synth_sample(t += 0.03, 1.0 + 0.5 * i, 0.4 - 0.02 * i,
@@ -334,12 +334,12 @@ TEST(OnlinePipeline, FailedReSolvesDegradeInsteadOfThrowingOutOfSink) {
     pipe.finish();
   };
 
-  OnlinePipeline pipe(eng, fast_options());
-  pipe.monitor(/*pid=*/0, target_h);
+  ShardedPipeline pipe(eng, fast_options());
+  pipe.monitor(/*pid=*/0, /*die=*/0, target_h);
   pipe.set_query(query);
   EXPECT_NO_THROW(feed(pipe));
 
-  const OnlinePipeline::Stats stats = pipe.snapshot().stats;
+  const PipelineStats stats = pipe.snapshot().stats;
   EXPECT_GE(stats.revisions, 1u);
   EXPECT_EQ(stats.resolves, 0u);
   EXPECT_GE(stats.health.degraded_resolves, 1u);
@@ -365,26 +365,26 @@ TEST(OnlinePipeline, FailedReSolvesDegradeInsteadOfThrowingOutOfSink) {
   query2.assignment = core::Assignment::empty(machine.cores);
   query2.assignment.per_core[0].push_back(t2);
   query2.assignment.per_core[1].push_back(r2);
-  OnlinePipelineOptions soft = fast_options();
+  ShardedPipelineOptions soft = fast_options();
   soft.harden = false;
-  OnlinePipeline unhardened(eng2, soft);
-  unhardened.monitor(/*pid=*/0, t2);
+  ShardedPipeline unhardened(eng2, soft);
+  unhardened.monitor(/*pid=*/0, /*die=*/0, t2);
   unhardened.set_query(query2);
   EXPECT_THROW(feed(unhardened), Error);
 }
 
-TEST(OnlinePipeline, BoundedHistoryEvictsOldestAndKeepsCountersMonotonic) {
+TEST(SingleLanePipeline, BoundedHistoryEvictsOldestAndKeepsCountersMonotonic) {
   const sim::MachineConfig machine = sim::two_core_workstation();
   const std::uint32_t ways = machine.l2.ways;
   engine::ModelEngine eng(machine);
   const engine::ProcessHandle handle =
       eng.register_process(handmade_profile("target", ways));
 
-  OnlinePipelineOptions options = fast_options();
+  ShardedPipelineOptions options = fast_options();
   options.builder.refit_interval = 2;
   options.history_capacity = 2;
-  OnlinePipeline pipe(eng, options);
-  pipe.monitor(/*pid=*/0, handle);
+  ShardedPipeline pipe(eng, options);
+  pipe.monitor(/*pid=*/0, /*die=*/0, handle);
 
   double t = 0.0;
   for (int i = 0; i < 12; ++i)
@@ -392,7 +392,7 @@ TEST(OnlinePipeline, BoundedHistoryEvictsOldestAndKeepsCountersMonotonic) {
                            2.0e-9 + 1.0e-11 * i));
   pipe.finish();
 
-  const OnlinePipeline::Stats stats = pipe.snapshot().stats;
+  const PipelineStats stats = pipe.snapshot().stats;
   ASSERT_GE(stats.revisions, 4u);
   EXPECT_EQ(pipe.events().size(), 2u);
   EXPECT_EQ(stats.health.history_evicted, stats.revisions - 2);
@@ -403,7 +403,7 @@ TEST(OnlinePipeline, BoundedHistoryEvictsOldestAndKeepsCountersMonotonic) {
   EXPECT_EQ(eng.profile(handle).revision, stats.revisions);
 }
 
-TEST(OnlinePipeline, EventsSinceCursorSurvivesEviction) {
+TEST(SingleLanePipeline, EventsSinceCursorSurvivesEviction) {
   // A consumer polling with events_since(cursor) must see every event
   // exactly once even when the bounded ring evicts between polls —
   // the seq cursor is monotonic and eviction-proof, unlike indexing
@@ -414,11 +414,11 @@ TEST(OnlinePipeline, EventsSinceCursorSurvivesEviction) {
   const engine::ProcessHandle handle =
       eng.register_process(handmade_profile("target", ways));
 
-  OnlinePipelineOptions options = fast_options();
+  ShardedPipelineOptions options = fast_options();
   options.builder.refit_interval = 2;
   options.history_capacity = 2;  // evict aggressively
-  OnlinePipeline pipe(eng, options);
-  pipe.monitor(/*pid=*/0, handle);
+  ShardedPipeline pipe(eng, options);
+  pipe.monitor(/*pid=*/0, /*die=*/0, handle);
 
   std::vector<std::uint64_t> seen;
   EventCursor next_seq = 0;
@@ -441,7 +441,7 @@ TEST(OnlinePipeline, EventsSinceCursorSurvivesEviction) {
     seen.push_back(e.seq);
   }
 
-  const OnlinePipeline::Stats stats = pipe.snapshot().stats;
+  const PipelineStats stats = pipe.snapshot().stats;
   ASSERT_GE(stats.revisions, 4u);
   EXPECT_GT(stats.health.history_evicted, 0u);
 
@@ -464,7 +464,7 @@ TEST(OnlinePipeline, EventsSinceCursorSurvivesEviction) {
   }
 }
 
-TEST(OnlinePipeline, RingIngestMatchesInlineIngestBitForBit) {
+TEST(SingleLanePipeline, RingIngestMatchesInlineIngestBitForBit) {
   // The SPSC ring only moves *where* ingestion runs (a dedicated
   // worker thread), never *what* it computes: replaying one recorded
   // stream through both modes must produce bit-identical event logs.
@@ -481,11 +481,11 @@ TEST(OnlinePipeline, RingIngestMatchesInlineIngestBitForBit) {
     auto eng = std::make_unique<engine::ModelEngine>(machine);
     const engine::ProcessHandle handle =
         eng->register_process(handmade_profile("target", ways));
-    OnlinePipelineOptions options = fast_options();
+    ShardedPipelineOptions options = fast_options();
     options.inline_ingest = inline_ingest;
     options.ring_capacity = 4;  // force wraparound under load
-    auto pipe = std::make_unique<OnlinePipeline>(*eng, options);
-    pipe->monitor(/*pid=*/0, handle);
+    auto pipe = std::make_unique<ShardedPipeline>(*eng, options);
+    pipe->monitor(/*pid=*/0, /*die=*/0, handle);
     for (const sim::Sample& s : samples) pipe->push(s);
     pipe->finish();
     return std::pair{std::move(eng), std::move(pipe)};
@@ -517,19 +517,19 @@ TEST(OnlinePipeline, RingIngestMatchesInlineIngestBitForBit) {
   EXPECT_EQ(eng_inline->profile(h).revision, eng_ring->profile(h).revision);
 }
 
-TEST(OnlinePipeline, BlockBackpressureDeliversEveryWindow) {
+TEST(SingleLanePipeline, BlockBackpressureDeliversEveryWindow) {
   const sim::MachineConfig machine = sim::two_core_workstation();
   const std::uint32_t ways = machine.l2.ways;
   engine::ModelEngine eng(machine);
   const engine::ProcessHandle handle =
       eng.register_process(handmade_profile("target", ways));
 
-  OnlinePipelineOptions options = fast_options();
+  ShardedPipelineOptions options = fast_options();
   options.inline_ingest = false;
   options.ring_capacity = 2;  // tiny: the producer must block, not lose
-  options.backpressure = OnlinePipelineOptions::Backpressure::kBlock;
-  OnlinePipeline pipe(eng, options);
-  pipe.monitor(/*pid=*/0, handle);
+  options.backpressure = Backpressure::kBlock;
+  ShardedPipeline pipe(eng, options);
+  pipe.monitor(/*pid=*/0, /*die=*/0, handle);
 
   const std::uint64_t pushed = 64;
   double t = 0.0;
@@ -538,12 +538,12 @@ TEST(OnlinePipeline, BlockBackpressureDeliversEveryWindow) {
                            0.3, 2.0e-9));
   pipe.finish();
 
-  const OnlinePipeline::Stats stats = pipe.snapshot().stats;
+  const PipelineStats stats = pipe.snapshot().stats;
   EXPECT_EQ(stats.windows, pushed);
   EXPECT_EQ(stats.health.windows_dropped, 0u);
 }
 
-TEST(OnlinePipeline, DropBackpressureCountsEveryLostWindow) {
+TEST(SingleLanePipeline, DropBackpressureCountsEveryLostWindow) {
   // Under kDrop the pipeline may shed load, but conservation must
   // hold exactly: every pushed window is either ingested or counted
   // in windows_dropped — none vanish silently.
@@ -553,12 +553,12 @@ TEST(OnlinePipeline, DropBackpressureCountsEveryLostWindow) {
   const engine::ProcessHandle handle =
       eng.register_process(handmade_profile("target", ways));
 
-  OnlinePipelineOptions options = fast_options();
+  ShardedPipelineOptions options = fast_options();
   options.inline_ingest = false;
   options.ring_capacity = 2;
-  options.backpressure = OnlinePipelineOptions::Backpressure::kDrop;
-  OnlinePipeline pipe(eng, options);
-  pipe.monitor(/*pid=*/0, handle);
+  options.backpressure = Backpressure::kDrop;
+  ShardedPipeline pipe(eng, options);
+  pipe.monitor(/*pid=*/0, /*die=*/0, handle);
 
   const std::uint64_t pushed = 256;
   double t = 0.0;
@@ -567,7 +567,7 @@ TEST(OnlinePipeline, DropBackpressureCountsEveryLostWindow) {
                            0.3, 2.0e-9));
   pipe.finish();
 
-  const OnlinePipeline::Stats stats = pipe.snapshot().stats;
+  const PipelineStats stats = pipe.snapshot().stats;
   EXPECT_EQ(stats.windows + stats.health.windows_dropped, pushed);
   EXPECT_LE(stats.health.windows_dropped, pushed);
 }

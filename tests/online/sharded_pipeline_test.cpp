@@ -1,9 +1,8 @@
-// ShardedPipeline (ISSUE 7): single-shard parity with the facade, the
-// shard-count-independent merged event log, coalesced re-solves,
-// quarantine forensics, ring-mode multi-producer ingestion racing
-// four producer threads against the shard workers (the TSan leg runs
-// this suite), and the fail-stop contract for a shard whose worker
-// hits an error.
+// ShardedPipeline (ISSUE 7): the shard-count-independent merged event
+// log, coalesced re-solves, quarantine forensics, ring-mode
+// multi-producer ingestion racing four producer threads against the
+// shard workers (the TSan leg runs this suite), and the fail-stop
+// contract for a shard whose worker hits an error.
 #include "repro/online/sharded_pipeline.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "repro/core/perf_model.hpp"
 #include "repro/core/power_model.hpp"
 #include "repro/engine/model_engine.hpp"
-#include "repro/online/pipeline.hpp"
 #include "repro/sim/machine.hpp"
 #include "repro/sim/system.hpp"
 #include "repro/workload/generator.hpp"
@@ -233,67 +231,6 @@ TEST(ShardedPipeline, MergedEventLogIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardedPipeline, SingleShardMatchesFacadeBitForBit) {
-  // One lane, one shard vs the OnlinePipeline facade on the identical
-  // whole-machine window stream: same events, same counters.
-  const sim::MachineConfig machine = sim::four_core_server();
-  const core::PowerModel power(
-      45.0, {6.0e-9, 2.2e-8, -1.0e-7, 4.5e-9, 5.5e-9}, 4);
-  engine::EngineOptions eng_options;
-  eng_options.threads = 1;
-
-  // `monitor_fn` adapts the two signatures: the facade has no die
-  // parameter (it is always lane 0), the sharded class requires one.
-  auto drive = [&](auto& pipe, engine::ModelEngine& eng, auto monitor_fn) {
-    engine::CoScheduleQuery q;
-    q.assignment = core::Assignment::empty(machine.cores);
-    for (std::size_t pid = 0; pid < 2; ++pid) {
-      const engine::ProcessHandle h = eng.register_process(
-          seed_profile(pid, static_cast<double>(machine.l2.ways)));
-      monitor_fn(static_cast<ProcessId>(pid), h);
-      q.assignment.per_core[pid].push_back(h);
-    }
-    pipe.set_query(std::move(q));
-    for (std::uint64_t seq = 0; seq < 30; ++seq) {
-      sim::Sample s = make_window(0, seq, machine.cores);
-      s.process_delta.resize(2);
-      s.process_cpu.resize(2);
-      s.occupancy.resize(2);
-      s.core_rates.resize(machine.cores);
-      pipe.push(s);
-    }
-    pipe.finish();
-  };
-
-  engine::ModelEngine eng_a(machine, power, eng_options);
-  ShardedPipelineOptions sharded;
-  sharded.builder.refit_interval = 6;
-  sharded.builder.min_fit_windows = 4;
-  ShardedPipeline a(eng_a, sharded);
-  drive(a, eng_a, [&](ProcessId pid, engine::ProcessHandle h) {
-    a.monitor(pid, /*die=*/0, h);
-  });
-
-  engine::ModelEngine eng_b(machine, power, eng_options);
-  OnlinePipelineOptions facade;
-  facade.builder.refit_interval = 6;
-  facade.builder.min_fit_windows = 4;
-  OnlinePipeline b(eng_b, facade);
-  drive(b, eng_b, [&](ProcessId pid, engine::ProcessHandle h) {
-    b.monitor(pid, h);
-  });
-
-  std::vector<std::string> log_a = dump_log(a);
-  std::vector<std::string> log_b;
-  for (const PipelineEvent& e : b.events_since(0))
-    log_b.push_back(dump_event(e));
-  ASSERT_GT(log_a.size(), 0u);
-  ASSERT_EQ(log_a.size(), log_b.size());
-  for (std::size_t i = 0; i < log_a.size(); ++i)
-    EXPECT_EQ(log_a[i], log_b[i]) << "event " << i;
-  expect_stats_equal(a.snapshot().stats, b.snapshot().stats);
-}
-
 TEST(ShardedPipeline, CoalescingMergesSameWindowResolvesExactly) {
   // Every lane's builders refit on the same window ordinals, so each
   // refit group carries kTotalProcs revisions. Coalescing must apply
@@ -323,7 +260,7 @@ TEST(ShardedPipeline, CoalescingMergesSameWindowResolvesExactly) {
 }
 
 TEST(ShardedPipeline, QuarantineForensicsKeepsLastNWithVerdicts) {
-  ShardedPipelineOptions o;  // producers = shards = 1, facade-mode
+  ShardedPipelineOptions o;  // producers = shards = 1: single lane
   o.quarantine_capacity = 4;
   sim::MachineConfig machine = sim::four_core_server();
   engine::ModelEngine eng(

@@ -71,9 +71,10 @@
 // --journal arms the crash-safe event journal (every applied revision
 // framed + CRC-32C checksummed, fsync per --fsync/--fsync-every);
 // --checkpoint adds atomic engine checkpoints every --checkpoint-every
-// journaled events. A watch killed mid-run — even SIGKILL mid-write —
-// restarts with --recover on (default) from the newest valid
-// checkpoint plus a journal replay, torn tails cut; the summary's
+// state-changing events (applied revisions), with or without --journal.
+// A watch killed mid-run — even SIGKILL mid-write — restarts with
+// --recover on (default) from the newest valid checkpoint plus a
+// journal replay, torn tails cut; the summary's
 // durability line (and the JSON summary's "durability" object)
 // reports the counters. In ring mode a shard whose worker hits an
 // error (with --sanitize off, a revision the engine refuses) stops for
@@ -121,7 +122,6 @@
 #include "repro/engine/checkpoint.hpp"
 #include "repro/engine/model_engine.hpp"
 #include "repro/math/stats.hpp"
-#include "repro/online/pipeline.hpp"
 #include "repro/online/sharded_pipeline.hpp"
 #include "repro/sim/fault_injector.hpp"
 #include "repro/sim/system.hpp"
