@@ -22,6 +22,13 @@
 // machine with at least 4 hardware threads (on smaller machines the
 // ratios are reported but not enforced). --quick shrinks the sweep and
 // skips the perf gates so sanitizer CI legs can run the same binary.
+//
+// Before the arms run, a host-parallelism probe times the same fixed
+// block of pure arithmetic on 1 thread and on one thread per pool
+// worker. Their ratio is how many threads' worth of independent work
+// the host actually ran at once: a pooled speedup cannot exceed it, so
+// a failed >= 3x gate next to a low host parallelism points at host
+// contention (time-sliced vCPUs), not at the pool.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -31,6 +38,8 @@
 #include <thread>
 #include <vector>
 
+#include "repro/common/ensure.hpp"
+#include "repro/common/thread_pool.hpp"
 #include "repro/core/perf_model.hpp"
 #include "repro/engine/model_engine.hpp"
 #include "repro/sim/machine.hpp"
@@ -73,11 +82,12 @@ core::PowerModel power_model() {
 
 /// The pre-engine composition: per-die weighted solve with fill curves
 /// rebuilt from scratch for every candidate, accumulated in the
-/// engine's order so results stay comparable bit for bit.
+/// engine's order and solved with the engine's method and its
+/// Newton→bisection fallback, so results stay comparable bit for bit.
 engine::SystemPrediction direct_prediction(
     const sim::MachineConfig& machine, const core::PowerModel& power,
     const std::vector<core::ProcessProfile>& profiles,
-    const engine::CoScheduleQuery& query) {
+    const engine::CoScheduleQuery& query, core::SolveOptions::Method method) {
   const core::EquilibriumSolver solver(machine.l2.ways);
   engine::SystemPrediction out;
   out.core_power.assign(machine.cores, power.idle_core());
@@ -96,8 +106,16 @@ engine::SystemPrediction direct_prediction(
     }
     if (slots.empty()) continue;
     core::SolveOptions options;
+    options.method = method;
     options.cpu_share = shares;
-    const auto eq = solver.solve(features, options);
+    std::vector<core::ProcessPrediction> eq;
+    try {
+      eq = solver.solve(features, options);
+    } catch (const Error&) {
+      if (method != core::SolveOptions::Method::kNewton) throw;
+      options.method = core::SolveOptions::Method::kBisection;
+      eq = solver.solve(features, options);
+    }
     std::size_t cursor = 0;
     for (CoreId c : machine.cores_on_die(die)) {
       const std::size_t q = query.assignment.per_core[c].size();
@@ -151,7 +169,39 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// A fixed block of dependent floating-point arithmetic: no memory
+/// traffic, no synchronization, so n copies scale perfectly on n
+/// dedicated cores.
+double arithmetic_block() {
+  double x = 1.0;
+  for (int i = 0; i < 20'000'000; ++i) x = x * 1.0000001 + 1e-9;
+  return x;
+}
+
+/// n·t(1)/t(n): the number of threads' worth of arithmetic_block()
+/// the host completes at once when n threads each run one copy.
+double host_parallelism(std::size_t n) {
+  double checksum = 0.0;  // used below, so no block is optimized away
+  const auto timed = [&](std::size_t threads) {
+    std::vector<double> results(threads);
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> team;
+    for (std::size_t t = 0; t < threads; ++t)
+      team.emplace_back([&results, t] { results[t] = arithmetic_block(); });
+    for (std::thread& t : team) t.join();
+    const double s = seconds_since(t0);
+    for (double r : results) checksum += r;
+    return s;
+  };
+  const double one = timed(1);
+  const double ratio = static_cast<double>(n) * one / timed(n);
+  return checksum > 0.0 ? ratio : 0.0;
+}
+
 int run(bool quick) {
+  const std::size_t pool_threads = common::ThreadPool::default_threads();
+  const double parallelism = host_parallelism(pool_threads);
+
   const sim::MachineConfig machine = sim::four_core_server();
   const core::PowerModel power = power_model();
   constexpr std::size_t kProcesses = 8;
@@ -179,17 +229,19 @@ int run(bool quick) {
     queries.push_back(std::move(query));
   }
 
+  engine::EngineOptions serial_options;
+  serial_options.threads = 1;
+
   // Baseline: the hand-wired composition, serial, no memoization.
   auto t0 = std::chrono::steady_clock::now();
   std::vector<engine::SystemPrediction> direct;
   direct.reserve(kQueries);
   for (const auto& q : queries)
-    direct.push_back(direct_prediction(machine, power, profiles, q));
+    direct.push_back(
+        direct_prediction(machine, power, profiles, q, serial_options.method));
   const double direct_s = seconds_since(t0);
 
   // Engine, single-threaded: memoized artifacts, no pool.
-  engine::EngineOptions serial_options;
-  serial_options.threads = 1;
   engine::ModelEngine serial(machine, power, serial_options);
   for (const auto& p : profiles) serial.register_process(p);
   t0 = std::chrono::steady_clock::now();
@@ -282,6 +334,9 @@ int run(bool quick) {
   std::printf("ModelEngine throughput over %zu randomized co-schedules "
               "(%zu processes, %u cores, %u hw threads):\n",
               kQueries, kProcesses, machine.cores, hw);
+  std::printf("  host parallelism   : %8.2fx of %zu threads (pure "
+              "arithmetic; caps the pooled speedup)\n",
+              parallelism, pool_threads);
   std::printf("  direct composition : %8.0f predictions/s  (%.3f s)\n",
               kQueries / direct_s, direct_s);
   std::printf("  engine, threads=1  : %8.0f predictions/s  (%.3f s, "

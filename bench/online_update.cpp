@@ -101,7 +101,6 @@ int main() {
   // --- Online reaction: refit the post-change phase from streamed
   // windows, swap it into an engine, warm re-solve. ---
   engine::EngineOptions eng_options;
-  eng_options.method = core::SolveOptions::Method::kNewton;
   eng_options.threads = 1;
   engine::ModelEngine eng(machine, eng_options);
   const workload::WorkloadSpec contender_spec =

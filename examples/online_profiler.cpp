@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
   const core::PowerModel power_model = core::PowerModel::train(
       machine, oracle, {"gzip", "mcf", "art", "equake"}, train);
 
-  // The engine re-solves with Newton so warm starts pay off.
+  // The engine re-solves with Newton (its default) so warm starts pay
+  // off.
   engine::EngineOptions eng_options;
-  eng_options.method = core::SolveOptions::Method::kNewton;
   eng_options.threads = 1;
   engine::ModelEngine eng(machine, power_model, eng_options);
 

@@ -13,8 +13,10 @@
 // provided: the paper's Newton–Raphson on (Eq. 1 + Eq. 7), and a
 // globally robust nested bisection on the τ-parametrization (outer
 // bisection drives Σ S_i(τ) → A; each S_i(τ) is a bracketed scalar
-// root). They agree on every well-posed instance; the bisection form
-// is the default because Newton can stall on nearly-flat MPA curves.
+// root). They agree wherever Newton converges, but Newton can stall on
+// nearly-flat MPA curves. So a bare solve defaults to bisection, while
+// engine::ModelEngine runs Newton and re-solves a stalled die with
+// bisection.
 #pragma once
 
 #include <span>
@@ -91,11 +93,13 @@ struct SolveStats {
 /// solve_newton triple.
 struct SolveOptions {
   enum class Method {
-    /// Globally robust nested bisection on the τ-parametrization (the
-    /// default; never fails on well-posed instances).
+    /// Globally robust nested bisection on the τ-parametrization: never
+    /// fails on well-posed instances, at tens of outer steps per solve.
+    /// The default here, and the engine's fallback.
     kBisection,
-    /// The paper's damped Newton–Raphson on Eq. 1 + Eq. 7. Throws if
-    /// it fails to converge.
+    /// The paper's damped Newton–Raphson on Eq. 1 + Eq. 7: a few steps
+    /// cold, 1–2 from a close warm start. Throws if it fails to
+    /// converge. ModelEngine's default (EngineOptions::method).
     kNewton,
   };
   Method method = Method::kBisection;

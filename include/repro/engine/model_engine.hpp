@@ -72,12 +72,15 @@ using ProcessHandle = std::uint32_t;
 
 struct EngineOptions {
   core::EquilibriumOptions equilibrium{};
-  /// kNewton is the right choice for the on-line pipeline (a warm
-  /// start near the fixed point converges in 1–2 iterations); if a
-  /// Newton solve fails to converge — typical for *cold* starts on
-  /// nearly-flat MPA curves — the engine transparently re-solves that
-  /// query with the robust bisection method.
-  core::SolveOptions::Method method = core::SolveOptions::Method::kBisection;
+  /// The paper's Newton–Raphson by default: a cold solve takes a few
+  /// damped steps and a warm start near the fixed point 1–2, against
+  /// tens of outer steps for bisection. If a Newton solve fails to
+  /// converge — cold starts on nearly-flat MPA curves, mostly on
+  /// time-shared dies — the engine re-solves that die with the robust
+  /// bisection method and counts it in
+  /// SystemPrediction::solver_fallbacks. kBisection prices every die
+  /// with bisection alone.
+  core::SolveOptions::Method method = core::SolveOptions::Method::kNewton;
   /// Worker threads for predict_batch: 0 = one per hardware thread,
   /// 1 = run the batch inline on the calling thread (no pool).
   std::size_t threads = 0;
@@ -134,8 +137,13 @@ struct SystemPrediction {
   double throughput_ips = 0.0;
   /// Equilibrium solver iterations summed over the candidate's dies —
   /// the warm-start effectiveness signal (1–2 per die when seeded near
-  /// the fixed point, ~hundreds for a cold bisection).
+  /// the fixed point, a few for a cold Newton solve, tens for a cold
+  /// bisection). A die that fell back to bisection counts only its
+  /// bisection steps.
   int solver_iterations = 0;
+  /// Dies whose Newton solve failed and were re-solved by bisection;
+  /// always 0 for a kBisection engine.
+  int solver_fallbacks = 0;
   /// Set by ShardedPipeline when this prediction is a carried-forward
   /// last-good operating point rather than a fresh re-solve (the
   /// degradation policy); the engine itself always leaves it false.

@@ -27,6 +27,7 @@ struct RevisionEvent {
   bool resolved = false;               // a re-solve followed
   bool degraded = false;               // ...which fell back to last-good
   int solver_iterations = 0;           // of that re-solve
+  int solver_fallbacks = 0;            // its dies re-solved by bisection
   engine::SystemPrediction prediction; // valid when resolved
 };
 

@@ -191,6 +191,7 @@ struct PipelineStats {
   std::uint64_t resolves = 0;           // successful equilibrium re-solves
   std::uint64_t coalesced_resolves = 0;  // re-solves saved by coalescing
   std::uint64_t solver_iterations = 0;  // summed over re-solves
+  std::uint64_t solver_fallbacks = 0;   // dies re-solved by bisection
   std::uint64_t phase_changes = 0;      // confirmed across builders
   std::uint64_t frequency_steps = 0;    // DVFS steps absorbed by rescaling
   std::uint64_t power_revisions = 0;    // power refits applied
@@ -423,6 +424,7 @@ class ShardedPipeline : private BatchSink {
   std::uint64_t resolves_ REPRO_GUARDED_BY(mutex_) = 0;
   std::uint64_t coalesced_resolves_ REPRO_GUARDED_BY(mutex_) = 0;
   std::uint64_t solver_iterations_ REPRO_GUARDED_BY(mutex_) = 0;
+  std::uint64_t solver_fallbacks_ REPRO_GUARDED_BY(mutex_) = 0;
   std::uint64_t revisions_rejected_ REPRO_GUARDED_BY(mutex_) = 0;
   std::uint64_t degraded_resolves_ REPRO_GUARDED_BY(mutex_) = 0;
   std::uint64_t power_revisions_ REPRO_GUARDED_BY(mutex_) = 0;

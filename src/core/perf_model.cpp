@@ -1,7 +1,9 @@
 #include "repro/core/perf_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "repro/common/ensure.hpp"
 
@@ -10,17 +12,21 @@ namespace repro::core {
 void FeatureVector::validate() const {
   // Carry the process identity: a bad histogram or SPI law otherwise
   // only surfaces deep inside a fill-curve integral with no hint of
-  // which of the co-scheduled processes is broken.
-  const std::string who =
-      name.empty() ? std::string("feature vector") : "process '" + name + "'";
+  // which of the co-scheduled processes is broken. Built only when a
+  // check fails: validate() runs for every process of every solve.
+  const auto who = [this] {
+    return name.empty() ? std::string("feature vector")
+                        : "process '" + name + "'";
+  };
   REPRO_ENSURE(std::isfinite(api) && std::isfinite(alpha) &&
                    std::isfinite(beta),
-               who + ": API/alpha/beta must be finite");
-  REPRO_ENSURE(api > 0.0, who + ": API must be positive");
-  REPRO_ENSURE(beta > 0.0, who + ": beta (zero-miss SPI) must be positive");
-  REPRO_ENSURE(alpha > -beta, who + ": SPI law must stay positive on [0, 1]");
+               who() + ": API/alpha/beta must be finite");
+  REPRO_ENSURE(api > 0.0, who() + ": API must be positive");
+  REPRO_ENSURE(beta > 0.0, who() + ": beta (zero-miss SPI) must be positive");
+  REPRO_ENSURE(alpha > -beta,
+               who() + ": SPI law must stay positive on [0, 1]");
   REPRO_ENSURE(std::isfinite(fit_frequency) && fit_frequency >= 0.0,
-               who + ": fit frequency must be finite and nonnegative");
+               who() + ": fit frequency must be finite and nonnegative");
 }
 
 Spi FeatureVector::spi_at(Mpa mpa, Hertz hz) const {
@@ -230,8 +236,37 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_newton_impl(
   const std::size_t k = processes.size();
   const double a = static_cast<double>(ways_);
 
-  auto spi_at_size = [&](std::size_t i, double s) {
-    return processes[i].spi_at(processes[i].histogram.mpa(s));
+  // Process i's terms at S_i — G_i⁻¹(S_i) and SPI_i(MPA_i(S_i)) —
+  // memoized on the exact bits of S_i. A forward-difference Jacobian
+  // column moves one coordinate, so the other k−1 terms repeat the base
+  // point; two entries per process hold the base point and the latest
+  // probe. The cached values are the ones a fresh evaluation returns,
+  // so the residuals are bit-identical to evaluating every term.
+  struct Terms {
+    double fill;
+    double spi;
+  };
+  struct Memo {
+    std::uint64_t key[2] = {};
+    Terms terms[2] = {};
+    int used = 0;    // entries filled
+    int victim = 0;  // entry the next miss overwrites
+  };
+  std::vector<Memo> memo(k);
+  auto terms_at = [&](std::size_t i, double s) -> const Terms& {
+    Memo& m = memo[i];
+    const auto key = std::bit_cast<std::uint64_t>(s);
+    for (int e = 0; e < m.used; ++e)
+      if (m.key[e] == key) {
+        m.victim = 1 - e;
+        return m.terms[e];
+      }
+    const int e = m.used < 2 ? m.used++ : m.victim;
+    m.victim = 1 - e;
+    m.key[e] = key;
+    m.terms[e] = {(*fill[i])(s),
+                  processes[i].spi_at(processes[i].histogram.mpa(s))};
+    return m.terms[e];
   };
 
   // Unknowns: S_1..S_k. Equation 0 is Eq. 1 (normalized by A); for
@@ -242,11 +277,13 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_newton_impl(
     double sum = 0.0;
     for (double v : s) sum += v;
     f[0] = (sum - a) / a;
+    const Terms t0 = terms_at(0, s[0]);
     for (std::size_t i = 1; i < k; ++i) {
-      const double lhs = (*fill[0])(s[0]) * cpu_share[i] * processes[i].api *
-                         spi_at_size(0, s[0]);
-      const double rhs = (*fill[i])(s[i]) * cpu_share[0] * processes[0].api *
-                         spi_at_size(i, s[i]);
+      const Terms& ti = terms_at(i, s[i]);
+      const double lhs =
+          t0.fill * cpu_share[i] * processes[i].api * t0.spi;
+      const double rhs =
+          ti.fill * cpu_share[0] * processes[0].api * ti.spi;
       const double scale = 0.5 * (std::fabs(lhs) + std::fabs(rhs)) + 1e-300;
       f[i] = (lhs - rhs) / scale;
     }

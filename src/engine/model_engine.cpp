@@ -355,12 +355,20 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
       ProcessHandle handle;
       CoreId core;
     };
+    const std::vector<CoreId> die_cores = machine_.cores_on_die(die);
+    std::size_t on_die = 0;
+    for (CoreId c : die_cores) on_die += query.assignment.per_core[c].size();
+    if (on_die == 0) continue;
     std::vector<Slot> slots;
     std::vector<core::FeatureVector> features;
     std::vector<double> shares;
     std::vector<const math::PiecewiseLinear*> fill;
     std::vector<double> seeds;
-    for (CoreId c : machine_.cores_on_die(die)) {
+    slots.reserve(on_die);
+    features.reserve(on_die);
+    shares.reserve(on_die);
+    fill.reserve(on_die);
+    for (CoreId c : die_cores) {
       const std::size_t q = query.assignment.per_core[c].size();
       for (std::size_t slot = 0; slot < q; ++slot) {
         const std::size_t idx = query.assignment.per_core[c][slot];
@@ -383,7 +391,6 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
           seeds.push_back(query.warm_start[slot_offset[c] + slot]);
       }
     }
-    if (slots.empty()) continue;
 
     std::vector<core::ProcessPrediction> eq;
     const bool partitioned =
@@ -409,12 +416,12 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
         try {
           eq = solver_.solve(features, solve_options);
         } catch (const Error&) {
-          // Newton stalls on nearly-flat MPA curves — the reason
-          // bisection is the repo-wide default. A Newton-mode engine
-          // (chosen for cheap warm-started re-solves) falls back to
-          // the robust method instead of failing the query.
+          // Newton can stall on nearly-flat MPA curves, where the
+          // bisection form cannot fail on a well-posed instance: re-solve
+          // the die with it instead of failing the query, and count it.
           solve_options.method = core::SolveOptions::Method::kBisection;
           eq = solver_.solve(features, solve_options);
+          ++out.solver_fallbacks;
         }
       } else {
         eq = solver_.solve(features, solve_options);
@@ -425,7 +432,7 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
     // Assemble §4/§5: core power is the time average over the run
     // queue; the package total adds each busy core's dynamic power.
     std::size_t cursor = 0;
-    for (CoreId c : machine_.cores_on_die(die)) {
+    for (CoreId c : die_cores) {
       const std::size_t q = query.assignment.per_core[c].size();
       if (q == 0) continue;
       Watts dyn = 0.0;

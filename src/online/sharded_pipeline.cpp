@@ -523,8 +523,11 @@ bool ShardedPipeline::solve_query_locked(RevisionEvent& event) {
     ++resolves_;
     solver_iterations_ +=
         static_cast<std::uint64_t>(prediction.solver_iterations);
+    solver_fallbacks_ +=
+        static_cast<std::uint64_t>(prediction.solver_fallbacks);
     event.resolved = true;
     event.solver_iterations = prediction.solver_iterations;
+    event.solver_fallbacks = prediction.solver_fallbacks;
     event.prediction = prediction;
     latest_ = std::move(prediction);
   } catch (const Error&) {
@@ -538,6 +541,7 @@ bool ShardedPipeline::solve_query_locked(RevisionEvent& event) {
       engine::SystemPrediction carried = *latest_;
       carried.degraded = true;
       carried.solver_iterations = 0;
+      carried.solver_fallbacks = 0;
       event.resolved = true;
       event.prediction = carried;
       latest_ = std::move(carried);
@@ -877,6 +881,7 @@ PipelineStats ShardedPipeline::stats_locked() const {
   s.resolves = resolves_;
   s.coalesced_resolves = coalesced_resolves_;
   s.solver_iterations = solver_iterations_;
+  s.solver_fallbacks = solver_fallbacks_;
   s.phase_changes = phase_changes_;
   s.frequency_steps = frequency_steps_;
   s.power_revisions = power_revisions_;

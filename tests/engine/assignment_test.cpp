@@ -86,11 +86,13 @@ struct World {
 /// The paper's §5 arithmetic spelled out: per die, solve every
 /// one-process-per-busy-core combination (first busy core the fastest
 /// digit), sum its processes' dynamic power and 1/SPI, and average the
-/// combinations.
+/// combinations. Each combination is solved with `method` and the
+/// engine's Newton→bisection fallback.
 Eq10Estimate reference_eq10(const sim::MachineConfig& machine,
                             const core::PowerModel& power,
                             const std::vector<ProcessProfile>& profiles,
-                            const Assignment& a) {
+                            const Assignment& a,
+                            core::SolveOptions::Method method) {
   const core::EquilibriumSolver solver(machine.l2.ways);
   Eq10Estimate out;
   out.total_power = power.idle_total();
@@ -110,7 +112,16 @@ Eq10Estimate reference_eq10(const sim::MachineConfig& machine,
         combo.push_back(&profiles[(*queues[q])[cursor[q]]]);
         features.push_back(combo.back()->features);
       }
-      const std::vector<core::ProcessPrediction> eq = solver.solve(features);
+      core::SolveOptions options;
+      options.method = method;
+      std::vector<core::ProcessPrediction> eq;
+      try {
+        eq = solver.solve(features, options);
+      } catch (const Error&) {
+        if (method != core::SolveOptions::Method::kNewton) throw;
+        options.method = core::SolveOptions::Method::kBisection;
+        eq = solver.solve(features, options);
+      }
       double dynamic = 0.0;
       double ips = 0.0;
       for (std::size_t i = 0; i < combo.size(); ++i) {
@@ -170,8 +181,9 @@ TEST(Eq10Expansion, MatchesPerCombinationReferenceBitForBit) {
   a.per_core[1] = {1, 4};
   a.per_core[2] = {2, 0, 3};
   a.per_core[3] = {4};
+  const core::SolveOptions::Method method = w.eng.options().method;
   const Eq10Estimate ref =
-      reference_eq10(sim::four_core_server(), model(), profiles, a);
+      reference_eq10(sim::four_core_server(), model(), profiles, a, method);
   const Eq10Estimate got = w.eq10(a);
   EXPECT_EQ(got.total_power, ref.total_power);
   EXPECT_EQ(got.throughput_ips, ref.throughput_ips);
@@ -179,8 +191,8 @@ TEST(Eq10Expansion, MatchesPerCombinationReferenceBitForBit) {
   // One idle die, all of the other die's processes on one core.
   Assignment packed = Assignment::empty(4);
   packed.per_core[3] = {1, 2, 4};
-  const Eq10Estimate ref_packed =
-      reference_eq10(sim::four_core_server(), model(), profiles, packed);
+  const Eq10Estimate ref_packed = reference_eq10(
+      sim::four_core_server(), model(), profiles, packed, method);
   EXPECT_EQ(w.eq10(packed).total_power, ref_packed.total_power);
   EXPECT_EQ(w.eq10(packed).throughput_ips, ref_packed.throughput_ips);
 }

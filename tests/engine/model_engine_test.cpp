@@ -94,11 +94,12 @@ std::vector<CoScheduleQuery> random_queries(std::size_t count,
 /// The hand-wired composition ModelEngine replaces: per-die
 /// share-weighted equilibrium + §5 power assembly, in the engine's
 /// exact accumulation order (floating-point addition is not
-/// associative, so parity at the bit level requires the same order).
+/// associative, so parity at the bit level requires the same order),
+/// solved with the engine's method and its Newton→bisection fallback.
 SystemPrediction direct_prediction(
     const sim::MachineConfig& machine, const core::PowerModel* power,
     const std::vector<core::ProcessProfile>& profiles,
-    const CoScheduleQuery& query) {
+    const CoScheduleQuery& query, core::SolveOptions::Method method) {
   const core::EquilibriumSolver solver(machine.l2.ways);
   SystemPrediction out;
   if (power != nullptr) {
@@ -119,8 +120,16 @@ SystemPrediction direct_prediction(
     }
     if (slots.empty()) continue;
     core::SolveOptions options;
+    options.method = method;
     options.cpu_share = shares;
-    const auto eq = solver.solve(features, options);
+    std::vector<core::ProcessPrediction> eq;
+    try {
+      eq = solver.solve(features, options);
+    } catch (const Error&) {
+      if (method != core::SolveOptions::Method::kNewton) throw;
+      options.method = core::SolveOptions::Method::kBisection;
+      eq = solver.solve(features, options);
+    }
 
     std::size_t cursor = 0;
     for (CoreId c : machine.cores_on_die(die)) {
@@ -267,7 +276,7 @@ TEST(ModelEngine, MatchesDirectCompositionBitForBit) {
                                       0xC0FFEE);
   for (const CoScheduleQuery& q : queries) {
     const SystemPrediction direct =
-        direct_prediction(machine, &power, profiles, q);
+        direct_prediction(machine, &power, profiles, q, eng.options().method);
     expect_bitwise_equal(eng.predict(q), direct);
   }
 }
@@ -409,6 +418,88 @@ TEST(ModelEngine, TryApplyRequiresExactlyOnePayload) {
   EXPECT_EQ(eng.snapshot()->epoch(), epoch);
 }
 
+TEST(ModelEngine, DefaultsToNewton) {
+  EXPECT_EQ(EngineOptions{}.method, core::SolveOptions::Method::kNewton);
+}
+
+TEST(ModelEngine, NewtonDefaultAgreesWithBisection) {
+  // The two methods stop at different points inside the solver
+  // tolerance: S_i agree within 1e-4 ways and SPI within 1e-6 relative.
+  // Newton converges on every die with one process per core here; a
+  // few time-shared dies stall it and fall back to bisection (see
+  // NewtonFailureFallsBackToBisectionBitForBit).
+  const sim::MachineConfig machine = sim::four_core_server();
+  const auto profiles = suite();
+  EngineOptions bisection;
+  bisection.method = core::SolveOptions::Method::kBisection;
+  ModelEngine newton_eng(machine, model());
+  ModelEngine bisection_eng(machine, model(), bisection);
+  for (const auto& p : profiles) {
+    newton_eng.register_process(p);
+    bisection_eng.register_process(p);
+  }
+
+  const auto queries = random_queries(40, profiles.size(), machine.cores,
+                                      0xD1CE);
+  std::size_t one_per_core = 0;
+  for (const CoScheduleQuery& q : queries) {
+    const SystemPrediction got = newton_eng.predict(q);
+    const SystemPrediction ref = bisection_eng.predict(q);
+    bool time_shared = false;
+    for (const auto& run_queue : q.assignment.per_core)
+      time_shared = time_shared || run_queue.size() > 1;
+    if (!time_shared) {
+      ++one_per_core;
+      EXPECT_EQ(got.solver_fallbacks, 0);
+    }
+    EXPECT_EQ(ref.solver_fallbacks, 0);
+    ASSERT_EQ(got.processes.size(), ref.processes.size());
+    for (std::size_t i = 0; i < ref.processes.size(); ++i) {
+      EXPECT_NEAR(got.processes[i].prediction.effective_size,
+                  ref.processes[i].prediction.effective_size, 1e-4);
+      EXPECT_NEAR(got.processes[i].prediction.spi,
+                  ref.processes[i].prediction.spi,
+                  1e-6 * ref.processes[i].prediction.spi);
+    }
+  }
+  EXPECT_GT(one_per_core, 0u);
+}
+
+TEST(ModelEngine, NewtonFailureFallsBackToBisectionBitForBit) {
+  // "streamer" alone on core 0 beside "sprinter" and "midfield"
+  // time-sharing core 1: a die on which Newton stalls.
+  const sim::MachineConfig machine = sim::four_core_server();
+  const auto profiles = suite();
+  const core::EquilibriumSolver solver(machine.l2.ways);
+  ASSERT_THROW(
+      solver.solve({profiles[2].features, profiles[1].features,
+                    profiles[3].features},
+                   core::SolveOptions{
+                       .method = core::SolveOptions::Method::kNewton,
+                       .cpu_share = {1.0, 0.5, 0.5}}),
+      Error);
+
+  EngineOptions bisection;
+  bisection.method = core::SolveOptions::Method::kBisection;
+  ModelEngine newton_eng(machine, model());
+  ModelEngine bisection_eng(machine, model(), bisection);
+  for (const auto& p : profiles) {
+    newton_eng.register_process(p);
+    bisection_eng.register_process(p);
+  }
+  CoScheduleQuery q;
+  q.assignment = core::Assignment::empty(machine.cores);
+  q.assignment.per_core[0] = {2};
+  q.assignment.per_core[1] = {1, 3};
+
+  const SystemPrediction got = newton_eng.predict(q);
+  const SystemPrediction ref = bisection_eng.predict(q);
+  EXPECT_EQ(got.solver_fallbacks, 1);
+  EXPECT_EQ(ref.solver_fallbacks, 0);
+  EXPECT_EQ(got.solver_iterations, ref.solver_iterations);
+  expect_bitwise_equal(got, ref);
+}
+
 TEST(ModelEngine, WarmStartedQueryReachesTheColdFixedPoint) {
   const sim::MachineConfig machine = sim::four_core_server();
   const auto profiles = suite();
@@ -483,7 +574,12 @@ TEST(ModelEngine, ConcurrentUpdatesNeverTearABatch) {
     }
   });
 
-  for (int round = 0; round < 50; ++round) {
+  // A batch prices in microseconds, so read for 50 rounds *and* until
+  // the writer has published a few revisions: otherwise every round can
+  // finish before the writer thread first runs.
+  const std::uint64_t first_epoch = eng.snapshot()->epoch();
+  for (int round = 0; round < 50 || eng.snapshot()->epoch() < first_epoch + 4;
+       ++round) {
     const std::vector<SystemPrediction> out = eng.predict_batch(batch);
     ASSERT_EQ(out.size(), batch.size());
     for (std::size_t i = 1; i < out.size(); ++i)
@@ -758,7 +854,12 @@ TEST(ModelEngine, ConcurrentPredictAndPowerUpdatesStayConsistent) {
     }
   });
 
-  for (int round = 0; round < 50; ++round) {
+  // A batch prices in microseconds, so read for 50 rounds *and* until
+  // the writer has published a few revisions: otherwise every round can
+  // finish before the writer thread first runs.
+  const std::uint64_t first_epoch = eng.snapshot()->epoch();
+  for (int round = 0; round < 50 || eng.snapshot()->epoch() < first_epoch + 4;
+       ++round) {
     const std::vector<SystemPrediction> out = eng.predict_batch(batch);
     ASSERT_EQ(out.size(), batch.size());
     for (std::size_t i = 1; i < out.size(); ++i)

@@ -111,7 +111,6 @@ TEST(SingleLanePipeline, RevisionsReSolveTheActiveQueryWarmStarted) {
   const power::OracleConfig oracle = power::oracle_for_two_core_workstation();
 
   engine::EngineOptions eng_options;
-  eng_options.method = core::SolveOptions::Method::kNewton;
   eng_options.threads = 1;
   engine::ModelEngine eng(machine, eng_options);
 
@@ -165,6 +164,7 @@ TEST(SingleLanePipeline, RevisionsReSolveTheActiveQueryWarmStarted) {
   const std::deque<PipelineEvent> events = pipe.events();
   ASSERT_EQ(events.size(), stats.revisions);
   std::uint64_t iters = 0;
+  std::uint64_t fallbacks = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     ASSERT_TRUE(events[i].is_profile());
     const RevisionEvent& e = events[i].profile();
@@ -179,8 +179,11 @@ TEST(SingleLanePipeline, RevisionsReSolveTheActiveQueryWarmStarted) {
           << "re-solve " << i << " was not warm";
     }
     iters += static_cast<std::uint64_t>(e.solver_iterations);
+    EXPECT_EQ(e.solver_fallbacks, e.prediction.solver_fallbacks);
+    fallbacks += static_cast<std::uint64_t>(e.solver_fallbacks);
   }
   EXPECT_EQ(stats.solver_iterations, iters);
+  EXPECT_EQ(stats.solver_fallbacks, fallbacks);
 }
 
 TEST(SingleLanePipeline, CleanStreamParityWithAndWithoutHardening) {

@@ -486,12 +486,13 @@ void print_profile_event_json(online::EventCursor seq,
       "%s{\"seq\":%llu,\"kind\":\"profile\",\"process\":\"%s\",\"handle\":%u,"
       "\"revision\":%llu,\"fit_rms\":%.6g,\"fit_windows\":%zu,"
       "\"resolved\":%s,\"degraded\":%s,\"solver_iterations\":%d,"
-      "\"spi_ns\":%.6g,\"power_w\":%.6g}",
+      "\"solver_fallbacks\":%d,\"spi_ns\":%.6g,\"power_w\":%.6g}",
       first ? "" : ",", static_cast<unsigned long long>(seq),
       json_escape(eng.profile(e.handle).name).c_str(), e.handle,
       static_cast<unsigned long long>(e.revision), e.quality.fit_rms,
       e.quality.windows, e.resolved ? "true" : "false",
-      e.degraded ? "true" : "false", e.solver_iterations, spi * 1e9,
+      e.degraded ? "true" : "false", e.solver_iterations,
+      e.solver_fallbacks, spi * 1e9,
       e.resolved ? e.prediction.total_power : 0.0);
 }
 
@@ -553,11 +554,12 @@ void print_events_human(const std::vector<online::PipelineEvent>& events,
       if (e.resolved)
         for (const auto& pt : e.prediction.processes)
           if (pt.handle == e.handle) spi = pt.prediction.spi;
-      std::printf("%-8.3f %-12s %-4llu %-9.3f %-9.2f %-7d%s\n", e.time,
+      std::printf("%-8.3f %-12s %-4llu %-9.3f %-9.2f %-7d %d%s\n", e.time,
                   eng.profile(e.handle).name.c_str(),
                   static_cast<unsigned long long>(e.revision), spi * 1e9,
                   e.resolved ? e.prediction.total_power : 0.0,
-                  e.solver_iterations, e.degraded ? " degraded" : "");
+                  e.solver_iterations, e.solver_fallbacks,
+                  e.degraded ? " degraded" : "");
     } else {
       const online::PowerRevisionEvent& e = event.power();
       const std::string verdict =
@@ -624,7 +626,6 @@ int cmd_watch(const Args& args) {
     if (auto existing = core::load_store(store_path)) store = *existing;
 
   engine::EngineOptions eng_options;
-  eng_options.method = core::SolveOptions::Method::kNewton;
   eng_options.threads = 1;
   auto eng = store.power_model.has_value()
                  ? std::make_unique<engine::ModelEngine>(
@@ -728,8 +729,8 @@ int cmd_watch(const Args& args) {
   if (!json) {
     std::printf("watching %zu processes for %.2fs of virtual time...\n\n",
                 names.size(), seconds);
-    std::printf("%-8s %-12s %-4s %-9s %-9s %-7s\n", "t [s]", "process", "rev",
-                "SPI (ns)", "P [W]", "iters");
+    std::printf("%-8s %-12s %-4s %-9s %-9s %-7s %s\n", "t [s]", "process",
+                "rev", "SPI (ns)", "P [W]", "iters", "fallbacks");
   }
 
   bool query_set = false;
@@ -874,7 +875,7 @@ int cmd_watch(const Args& args) {
         "\"phase_changes\":%llu,\"frequency_steps\":%llu,"
         "\"resolves\":%llu,"
         "\"coalesced_resolves\":%llu,"
-        "\"solver_iterations\":%llu,"
+        "\"solver_iterations\":%llu,\"solver_fallbacks\":%llu,"
         "\"power\":{\"revisions\":%llu,\"rejected\":%llu,"
         "\"mean_err_pct\":%.6g,\"err_windows\":%llu},"
         "\"health\":{\"seen\":%llu,"
@@ -892,6 +893,7 @@ int cmd_watch(const Args& args) {
         static_cast<unsigned long long>(stats.resolves),
         static_cast<unsigned long long>(stats.coalesced_resolves),
         static_cast<unsigned long long>(stats.solver_iterations),
+        static_cast<unsigned long long>(stats.solver_fallbacks),
         static_cast<unsigned long long>(stats.power_revisions),
         static_cast<unsigned long long>(stats.power_rejected),
         err_windows > 0 ? err_pct_sum / static_cast<double>(err_windows) : 0.0,
@@ -912,7 +914,8 @@ int cmd_watch(const Args& args) {
         static_cast<unsigned long long>(h.journal_write_failures));
   } else {
     std::printf("\n%llu windows -> %llu revisions, %llu phase changes, "
-                "%llu re-solves (mean %.1f solver iterations)\n",
+                "%llu re-solves (mean %.1f solver iterations, %llu bisection "
+                "fallback(s))\n",
                 static_cast<unsigned long long>(stats.windows),
                 static_cast<unsigned long long>(stats.revisions),
                 static_cast<unsigned long long>(stats.phase_changes),
@@ -920,7 +923,8 @@ int cmd_watch(const Args& args) {
                 stats.resolves > 0
                     ? static_cast<double>(stats.solver_iterations) /
                           static_cast<double>(stats.resolves)
-                    : 0.0);
+                    : 0.0,
+                static_cast<unsigned long long>(stats.solver_fallbacks));
     if (stats.coalesced_resolves > 0)
       std::printf("coalesced %llu re-solve(s) across same-window phase "
                   "coincidences\n",
