@@ -120,7 +120,11 @@ void ThreadPool::parallel_for(std::size_t n,
     // site resolves unambiguously in the lock/order pass.
     Mutex done_mutex;
     CondVar done_cv;
-    std::size_t completed REPRO_GUARDED_BY(done_mutex) = 0;
+    // Finished indices. Counted outside done_mutex so finishing an
+    // index takes no lock: with microsecond bodies a per-index lock
+    // convoys behind whichever thread was preempted holding it.
+    std::atomic<std::size_t> completed{0};
+    bool done REPRO_GUARDED_BY(done_mutex) = false;
     std::exception_ptr error REPRO_GUARDED_BY(done_mutex);
   };
   auto state = std::make_shared<ForState>();
@@ -135,18 +139,24 @@ void ThreadPool::parallel_for(std::size_t n,
   auto drain = [](const std::shared_ptr<ForState>& s) {
     while (true) {
       // relaxed: each index is claimed exactly once by atomicity
-      // alone; the done_mutex lock below orders the results.
+      // alone; the acq_rel count below orders the results.
       const std::size_t i = s->next.fetch_add(1, std::memory_order_relaxed);
       if (i >= s->limit) return;
-      std::exception_ptr error;
       try {
         (*s->body)(i);
       } catch (...) {
-        error = std::current_exception();
+        MutexLock lock(s->done_mutex);
+        if (!s->error) s->error = std::current_exception();
       }
-      MutexLock lock(s->done_mutex);
-      if (error && !s->error) s->error = error;
-      if (++s->completed == s->limit) s->done_cv.notify_all();
+      // acq_rel: releases this index's writes and, through the chain of
+      // increments, acquires every other's for the last finisher, whose
+      // done_mutex section then publishes them all to the caller.
+      if (s->completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          s->limit) {
+        MutexLock lock(s->done_mutex);
+        s->done = true;
+        s->done_cv.notify_all();
+      }
     }
   };
 
@@ -158,7 +168,7 @@ void ThreadPool::parallel_for(std::size_t n,
   MutexLock lock(state->done_mutex);
   state->done_cv.wait(state->done_mutex,
                       [&]() REPRO_REQUIRES(state->done_mutex) {
-                        return state->completed == state->limit;
+                        return state->done;
                       });
   if (state->error) std::rethrow_exception(state->error);
 }

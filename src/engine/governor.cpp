@@ -88,18 +88,17 @@ GovernorDecision Governor::choose(
   }
   const bool exhaustive = full_total <= options_.max_candidates;
 
-  struct Candidate {
-    std::size_t assignment = 0;
-    std::vector<Hertz> freq;  // per core
-  };
-  std::vector<Candidate> candidates;
+  // One query per candidate; owner[i] indexes query i's placement in
+  // `assignments`, and its clocks are the query's core_frequency.
   std::vector<CoScheduleQuery> queries;
+  std::vector<std::size_t> owner;
+  queries.reserve(exhaustive ? full_total : assignments.size() * nlevels);
+  owner.reserve(queries.capacity());
   const auto add_candidate = [&](std::size_t idx, std::vector<Hertz> freq) {
-    CoScheduleQuery q;
+    CoScheduleQuery& q = queries.emplace_back();
     q.assignment = assignments[idx];
-    q.core_frequency = freq;
-    queries.push_back(std::move(q));
-    candidates.push_back({idx, std::move(freq)});
+    q.core_frequency = std::move(freq);
+    owner.push_back(idx);
   };
 
   for (std::size_t idx = 0; idx < assignments.size(); ++idx) {
@@ -160,7 +159,11 @@ GovernorDecision Governor::choose(
     }
   }
 
-  Candidate chosen = candidates[best];
+  struct Candidate {
+    std::size_t assignment = 0;
+    std::vector<Hertz> freq;  // per core
+  };
+  Candidate chosen{owner[best], queries[best].core_frequency};
   SystemPrediction chosen_pred = priced[best];
 
   if (!exhaustive && best_feasible) {

@@ -34,6 +34,19 @@ TEST(ThreadPool, ParallelForVisitsEveryIndexExactlyOnce) {
   }
 }
 
+// The engine's batches write plain (non-atomic) results from the
+// workers and read them on the caller once parallel_for returns; under
+// the thread sanitizer this is the check that the return publishes them.
+TEST(ThreadPool, ParallelForPublishesPlainWritesToTheCaller) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::size_t> out(257, 0);
+    pool.parallel_for(out.size(), [&](std::size_t i) { out[i] = i * i + 1; });
+    for (std::size_t i = 0; i < out.size(); ++i)
+      ASSERT_EQ(out[i], i * i + 1) << "index " << i << " round " << round;
+  }
+}
+
 TEST(ThreadPool, ParallelForOnEmptyRangeIsANoop) {
   ThreadPool pool(2);
   bool ran = false;
