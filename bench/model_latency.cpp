@@ -4,9 +4,9 @@
 // on-line use* during process assignment: pricing one of the 2^k − 1
 // co-schedule subsets must cost microseconds, not simulation hours.
 // These benchmarks quantify the costs that claim rests on: MPA curve
-// evaluation, fill-curve construction, the equilibrium solve (both
-// solver variants), the §5 combined power estimate, and assignment
-// enumeration.
+// evaluation, fill-curve construction, the on-line sanitizer's window
+// filter, the equilibrium solve (both solver variants), the §5 combined
+// power estimate, and assignment enumeration.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -14,6 +14,7 @@
 #include "repro/core/analytic.hpp"
 #include "repro/core/perf_model.hpp"
 #include "repro/engine/assignment.hpp"
+#include "repro/online/sanitizer.hpp"
 #include "repro/sim/machine.hpp"
 #include "repro/workload/spec.hpp"
 
@@ -75,6 +76,51 @@ void BM_FillCurveBuild(benchmark::State& state) {
         core::fill_curve(fv.histogram, machine().l2.ways));
 }
 BENCHMARK(BM_FillCurveBuild);
+
+/// One die slice of a four-process die on the 8-process server layout
+/// (the other die's slots idle, as System::split_sample leaves them),
+/// through a sanitizer whose 16-window MAD history is already full.
+void BM_SanitizeWindow(benchmark::State& state) {
+  constexpr std::size_t kPids = 8;
+  constexpr std::size_t kCycle = 64;
+  std::vector<sim::Sample> windows(kCycle);
+  for (std::size_t w = 0; w < kCycle; ++w) {
+    sim::Sample& s = windows[w];
+    s.duration = 0.03;
+    s.core_rates.resize(machine().cores);
+    s.occupancy.assign(kPids, 0.0);
+    s.process_cpu.assign(kPids, 0.0);
+    s.process_delta.resize(kPids);
+    for (std::size_t pid = 0; pid < kPids / 2; ++pid) {
+      // Small per-window jitter keeps the rolling windows moving.
+      const double jitter = 1.0 + 0.01 * static_cast<double>((w + pid) % 7);
+      hpc::Counters& d = s.process_delta[pid];
+      d.instructions = 1.0e6;
+      d.cycles = 2.0e6;
+      d.l1_refs = 3.0e5;
+      d.l2_refs = 2.0e4;
+      d.l2_misses = 4.0e3 * jitter;
+      d.branches = 1.0e5;
+      d.fp_ops = 5.0e4;
+      s.occupancy[pid] = 4.0;
+      s.process_cpu[pid] = 0.002 * jitter;
+    }
+  }
+  online::SampleSanitizer sanitizer;
+  sim::Sample out;
+  double t = 0.0;
+  std::size_t w = 0;
+  for (; w < 2 * sanitizer.options().outlier_window; ++w) {
+    windows[w % kCycle].time = t += 0.03;
+    sanitizer.sanitize(windows[w % kCycle], &out);
+  }
+  for (auto _ : state) {
+    sim::Sample& s = windows[w++ % kCycle];
+    s.time = t += 0.03;
+    benchmark::DoNotOptimize(sanitizer.sanitize(s, &out));
+  }
+}
+BENCHMARK(BM_SanitizeWindow);
 
 void BM_EquilibriumSolve(benchmark::State& state) {
   const auto fvs = features(static_cast<std::size_t>(state.range(0)));

@@ -249,8 +249,7 @@ class EngineSnapshot {
   /// shared between consecutive snapshots, by every epoch that kept
   /// the registration unchanged.
   struct Artifacts {
-    math::PiecewiseLinear fill;    // G⁻¹: occupancy S → accesses n
-    math::PiecewiseLinear growth;  // G: accesses n → occupancy S
+    math::PiecewiseLinear fill;  // G⁻¹: occupancy S → accesses n
   };
   struct Entry {
     explicit Entry(core::ProcessProfile p) : profile(std::move(p)) {}

@@ -113,10 +113,25 @@ class SampleSanitizer {
   const SampleSanitizerOptions& options() const { return options_; }
 
  private:
+  /// One rolling signal: the arrival-order window (which value leaves
+  /// next) beside the same values in sorted order, from which the
+  /// median and the MAD are read as order statistics — no copy, no
+  /// partition and no allocation per window.
+  struct Window {
+    std::vector<double> arrival;
+    std::vector<double> sorted;
+
+    std::size_t size() const { return arrival.size(); }
+    void push(double x, std::size_t capacity);
+    void reset(double x);
+    double median() const;
+    double mad(double median) const;
+  };
+
   /// Rolling per-process signal history for the MAD filter.
   struct History {
-    std::vector<double> mpa;
-    std::vector<double> spi;
+    Window mpa;
+    Window spi;
     std::size_t consecutive_outliers = 0;
   };
 

@@ -1,6 +1,7 @@
 #include "repro/core/fill_model.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "repro/common/ensure.hpp"
 
@@ -55,10 +56,28 @@ math::PiecewiseLinear fill_curve(const ReuseHistogram& hist,
   std::vector<double> ys(n_steps + 1);
   xs[0] = 0.0;
   ys[0] = 0.0;
+  // The midpoints ascend, so MPA's bracketing knot is found by walking
+  // a cursor forward instead of a binary search per midpoint. Clamps,
+  // bracket and interpolation are hist.mpa(mid)'s, expression for
+  // expression, so every knot is bit-identical to evaluating it.
+  const std::span<const double> mx = hist.mpa_curve().xs();
+  const std::span<const double> my = hist.mpa_curve().ys();
+  std::size_t hi = 0;  // first MPA knot with x > mid (upper_bound)
   double acc = 0.0;
   for (std::size_t k = 0; k < n_steps; ++k) {
     const double mid = (static_cast<double>(k) + 0.5) * dx;
-    acc += dx / std::max(hist.mpa(mid), mpa_floor);
+    double mpa;
+    if (mid <= mx.front()) {
+      mpa = my.front();
+    } else if (mid >= mx.back()) {
+      mpa = my.back();
+    } else {
+      while (mx[hi] <= mid) ++hi;
+      const std::size_t lo = hi - 1;
+      const double t = (mid - mx[lo]) / (mx[hi] - mx[lo]);
+      mpa = my[lo] + t * (my[hi] - my[lo]);
+    }
+    acc += dx / std::max(mpa, mpa_floor);
     xs[k + 1] = static_cast<double>(k + 1) * dx;
     ys[k + 1] = acc;
   }

@@ -135,7 +135,7 @@ void ModelEngine::install(ProcessHandle handle, core::ProcessProfile profile) {
     by_name_.emplace(profile.name, handle);
   }
   // Fresh Entry = fresh once_flag: the next prediction that touches
-  // this handle rebuilds the fill/growth curves from the new revision.
+  // this handle rebuilds the fill curve from the new revision.
   registry_[handle] = std::make_shared<Entry>(std::move(profile));
   // relaxed: monitoring counter; no reader orders state off it.
   cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
@@ -296,11 +296,6 @@ const ModelEngine::Artifacts& ModelEngine::artifacts_of(
     a.fill = core::fill_curve(entry.profile.features.histogram,
                               machine_.l2.ways,
                               options_.equilibrium.mpa_floor);
-    // The fill curve is strictly increasing (each Δn = ΔS / MPA(S) is
-    // positive), so swapping the axes tabulates G = (G⁻¹)⁻¹.
-    a.growth = math::PiecewiseLinear(
-        std::vector<double>(a.fill.ys().begin(), a.fill.ys().end()),
-        std::vector<double>(a.fill.xs().begin(), a.fill.xs().end()));
     entry.artifacts = std::move(a);
     built_now = true;
   });
@@ -376,8 +371,8 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
             snapshot.entry_of(static_cast<ProcessHandle>(idx));
         slots.push_back({static_cast<ProcessHandle>(idx), c});
         // Rescale Eq. 3 to the core's clock on the per-query copy; the
-        // memoized fill/growth artifacts stay valid because they are
-        // functions of the histogram only, which is frequency-free.
+        // memoized fill curve stays valid because it is a function of
+        // the histogram only, which is frequency-free.
         // at_frequency is an exact no-op at the profile's own clock,
         // and a legacy profile (fit_frequency 0) is used as-is — both
         // keep the pre-frequency-aware results bit-identical.

@@ -1,6 +1,7 @@
 #include "repro/math/piecewise.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "repro/common/ensure.hpp"
 
@@ -17,6 +18,8 @@ PiecewiseLinear::PiecewiseLinear(std::vector<double> xs,
 
 double PiecewiseLinear::operator()(double x) const {
   REPRO_ENSURE(!xs_.empty(), "empty interpolant");
+  // NaN slips past both clamps, and upper_bound would then return end().
+  REPRO_ENSURE(!std::isnan(x), "interpolant argument is NaN");
   if (x <= xs_.front()) return ys_.front();
   if (x >= xs_.back()) return ys_.back();
   const auto it = std::upper_bound(xs_.begin(), xs_.end(), x);

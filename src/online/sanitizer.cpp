@@ -39,11 +39,6 @@ double mad_of(const std::vector<double>& v, double median) {
   return median_of(std::move(dev));
 }
 
-void push_rolling(std::vector<double>& v, double x, std::size_t capacity) {
-  if (v.size() >= capacity) v.erase(v.begin());
-  v.push_back(x);
-}
-
 /// Total event rate across every counter field — the signal the
 /// auto-tuner learns a per-process ceiling for.
 double event_rate(const hpc::Counters& d, double duration) {
@@ -69,6 +64,58 @@ SampleSanitizer::SampleSanitizer(SampleSanitizerOptions options)
     REPRO_ENSURE(options_.tune_k > 0.0 && options_.tune_floor_ratio >= 1.0,
                  "auto-tune needs tune_k > 0 and tune_floor_ratio >= 1");
   }
+}
+
+void SampleSanitizer::Window::push(double x, std::size_t capacity) {
+  if (arrival.capacity() < capacity) {
+    arrival.reserve(capacity);
+    sorted.reserve(capacity);
+  }
+  if (arrival.size() >= capacity) {
+    // Any element equal to the leaving value is that value: erasing the
+    // first of a run of ties leaves the same multiset.
+    sorted.erase(std::lower_bound(sorted.begin(), sorted.end(),
+                                  arrival.front()));
+    arrival.erase(arrival.begin());
+  }
+  arrival.push_back(x);
+  sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), x), x);
+}
+
+void SampleSanitizer::Window::reset(double x) {
+  arrival.assign(1, x);
+  sorted.assign(1, x);
+}
+
+double SampleSanitizer::Window::median() const {
+  // The same order statistics median_of partitions out of a copy.
+  const std::size_t mid = sorted.size() / 2;
+  if (sorted.size() % 2 == 0) return 0.5 * (sorted[mid] + sorted[mid - 1]);
+  return sorted[mid];
+}
+
+double SampleSanitizer::Window::mad(double median) const {
+  // |x − median| falls toward `median` from below and rises away from
+  // it above, so the deviations form two ascending runs that start at
+  // lower_bound(median). Merging them up to the middle yields the same
+  // order statistics of the same doubles as median_of over all of them.
+  const std::size_t n = sorted.size();
+  const std::size_t mid = n / 2;
+  std::size_t hi = static_cast<std::size_t>(
+      std::lower_bound(sorted.begin(), sorted.end(), median) -
+      sorted.begin());
+  std::size_t lo = hi;  // the lower run is sorted[0, lo), read downward
+  double below = 0.0;   // the (k−1)-th smallest deviation
+  double kth = 0.0;     // the k-th smallest deviation
+  for (std::size_t k = 0; k <= mid; ++k) {
+    below = kth;
+    const bool take_lower =
+        lo > 0 && (hi == n || std::fabs(sorted[lo - 1] - median) <=
+                                  std::fabs(sorted[hi] - median));
+    kth = take_lower ? std::fabs(sorted[--lo] - median)
+                     : std::fabs(sorted[hi++] - median);
+  }
+  return n % 2 == 0 ? 0.5 * (kth + below) : kth;
 }
 
 bool SampleSanitizer::learned_violation(const sim::Sample& s) const {
@@ -192,11 +239,10 @@ bool SampleSanitizer::outlier(const sim::Sample& s) {
     const double spi = cpu / d.instructions;
 
     History& h = history_[pid];
-    auto deviant = [&](const std::vector<double>& series, double x,
-                       double abs_floor) {
+    auto deviant = [&](const Window& series, double x, double abs_floor) {
       if (series.size() < options_.outlier_min_history) return false;
-      const double med = median_of(series);
-      const double mad = mad_of(series, med);
+      const double med = series.median();
+      const double mad = series.mad(med);
       const double dev = std::fabs(x - med);
       // All three gates must trip: robust z, ratio, absolute floor —
       // so a genuine few-fold phase change always passes.
@@ -210,16 +256,16 @@ bool SampleSanitizer::outlier(const sim::Sample& s) {
     // History tracks the raw signal (outliers included) so a sustained
     // level shift moves the median and passes on its own; the escape
     // hatch below bounds how long that can take.
-    push_rolling(h.mpa, mpa, options_.outlier_window);
-    push_rolling(h.spi, spi, options_.outlier_window);
+    h.mpa.push(mpa, options_.outlier_window);
+    h.spi.push(spi, options_.outlier_window);
 
     if (is_outlier) {
       ++h.consecutive_outliers;
       if (h.consecutive_outliers >= options_.outlier_escape) {
         // A run this long is a level shift, not a glitch: accept it and
         // restart the history from the new regime.
-        h.mpa.assign(1, mpa);
-        h.spi.assign(1, spi);
+        h.mpa.reset(mpa);
+        h.spi.reset(spi);
         h.consecutive_outliers = 0;
       } else {
         flagged = true;

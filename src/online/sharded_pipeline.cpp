@@ -504,7 +504,9 @@ std::optional<RevisionEvent> ShardedPipeline::apply_candidate_locked(
   RevisionEvent event;
   event.time = time;
   event.handle = *slot.handle;
-  event.revision = engine_.profile(*slot.handle).revision;
+  // Read through the snapshot's reference: the journal record takes
+  // the one copy of the applied profile it needs.
+  event.revision = engine_.snapshot()->profile(*slot.handle).revision;
   event.quality = revision.quality;
   if (solve) solve_query_locked(event);
   return event;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "repro/common/ensure.hpp"
 #include "repro/common/rng.hpp"
 #include "repro/sim/cache.hpp"
@@ -150,6 +155,47 @@ TEST(FillCurve, InverseRecoversOccupancy) {
   const math::PiecewiseLinear g = fill_curve(example_hist(), 8);
   for (double s = 0.5; s <= 7.5; s += 0.5)
     EXPECT_NEAR(g.inverse(g(s)), s, 1e-6);
+}
+
+TEST(FillCurve, CursorMatchesPerPointMpaBitForBit) {
+  // The reference: the midpoint integral with hist.mpa(mid) evaluated
+  // per point, exactly as the curve was built before the cursor walk.
+  const auto reference = [](const ReuseHistogram& hist,
+                            std::uint32_t max_ways, double mpa_floor,
+                            std::uint32_t steps_per_way) {
+    const std::size_t n_steps =
+        static_cast<std::size_t>(max_ways) * steps_per_way;
+    const double dx = static_cast<double>(max_ways) / n_steps;
+    std::vector<double> ys(n_steps + 1, 0.0);
+    double acc = 0.0;
+    for (std::size_t k = 0; k < n_steps; ++k) {
+      const double mid = (static_cast<double>(k) + 0.5) * dx;
+      acc += dx / std::max(hist.mpa(mid), mpa_floor);
+      ys[k + 1] = acc;
+    }
+    return ys;
+  };
+  const std::uint32_t ways = 8;
+  Rng rng(17);
+  for (std::size_t depth : {3u, 8u, 13u}) {  // pmf shorter/equal/longer
+    for (double tail : {0.0, 0.2}) {
+      std::vector<double> pmf(depth);
+      double total = 0.0;
+      for (double& p : pmf) total += p = rng.uniform(0.1, 1.0);
+      for (double& p : pmf) p *= (1.0 - tail) / total;
+      const ReuseHistogram h(pmf, tail);
+      for (std::uint32_t steps : {1u, 7u, 64u}) {
+        const math::PiecewiseLinear g = fill_curve(h, ways, 1e-6, steps);
+        const std::vector<double> want = reference(h, ways, 1e-6, steps);
+        ASSERT_EQ(g.ys().size(), want.size());
+        for (std::size_t k = 0; k < want.size(); ++k)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(g.ys()[k]),
+                    std::bit_cast<std::uint64_t>(want[k]))
+              << "depth " << depth << ", tail " << tail << ", steps "
+              << steps << ", knot " << k;
+      }
+    }
+  }
 }
 
 TEST(FillCurve, RejectsBadArguments) {

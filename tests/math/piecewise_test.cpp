@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "repro/common/ensure.hpp"
 
 namespace repro::math {
@@ -69,6 +71,13 @@ TEST(Piecewise, RejectsBadKnots) {
   EXPECT_THROW(PiecewiseLinear({2.0, 1.0}, {0.0, 1.0}), Error);
   EXPECT_THROW(PiecewiseLinear({}, {}), Error);
   EXPECT_THROW(PiecewiseLinear({1.0}, {0.0, 1.0}), Error);
+}
+
+TEST(Piecewise, RejectsNanArgument) {
+  // NaN passes both clamp comparisons; it must not reach the bracket
+  // search, whose upper_bound would return one past the last knot.
+  const PiecewiseLinear f({0.0, 1.0, 2.0}, {0.0, 10.0, 30.0});
+  EXPECT_THROW(f(std::numeric_limits<double>::quiet_NaN()), Error);
 }
 
 TEST(Piecewise, SingleKnotActsAsConstant) {

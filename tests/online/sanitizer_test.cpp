@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "repro/common/ensure.hpp"
+#include "repro/common/rng.hpp"
 
 namespace repro::online {
 namespace {
@@ -306,6 +309,181 @@ TEST(SampleSanitizer, AutoTuneRejectsNonsenseKnobs) {
   loose.auto_tune = true;
   loose.tune_floor_ratio = 0.5;
   EXPECT_THROW(SampleSanitizer{loose}, Error);
+}
+
+/// The MAD filter as a copy + nth_element median/MAD over each
+/// process's arrival-order window — the reference the sanitizer's
+/// sorted windows must reproduce verdict for verdict.
+class ReferenceMadFilter {
+ public:
+  explicit ReferenceMadFilter(const SampleSanitizerOptions& o) : o_(o) {}
+
+  std::size_t escapes() const { return escapes_; }
+
+  /// Mirrors the filter for one plausible, in-order window.
+  bool outlier(const sim::Sample& s) {
+    if (h_.size() < s.process_delta.size()) h_.resize(s.process_delta.size());
+    bool flagged = false;
+    for (std::size_t pid = 0; pid < s.process_delta.size(); ++pid) {
+      const hpc::Counters& d = s.process_delta[pid];
+      const double cpu = s.process_cpu[pid];
+      if (d.instructions <= 0.0 || d.l2_refs <= 0.0 || cpu <= 0.0) continue;
+      const double mpa = d.mpa();
+      const double spi = cpu / d.instructions;
+      History& h = h_[pid];
+      const bool is_outlier = deviant(h.mpa, mpa, o_.outlier_floor_mpa) ||
+                              deviant(h.spi, spi, 0.0);
+      push(h.mpa, mpa);
+      push(h.spi, spi);
+      if (is_outlier) {
+        if (++h.run >= o_.outlier_escape) {
+          h.mpa.assign(1, mpa);
+          h.spi.assign(1, spi);
+          h.run = 0;
+          ++escapes_;
+        } else {
+          flagged = true;
+        }
+      } else {
+        h.run = 0;
+      }
+    }
+    return flagged;
+  }
+
+ private:
+  struct History {
+    std::vector<double> mpa, spi;
+    std::size_t run = 0;
+  };
+
+  static double median(std::vector<double> v) {
+    const auto mid = static_cast<std::ptrdiff_t>(v.size() / 2);
+    std::nth_element(v.begin(), v.begin() + mid, v.end());
+    double m = v[static_cast<std::size_t>(mid)];
+    if (v.size() % 2 == 0)
+      m = 0.5 * (m + *std::max_element(v.begin(), v.begin() + mid));
+    return m;
+  }
+
+  bool deviant(const std::vector<double>& series, double x,
+               double abs_floor) const {
+    if (series.size() < o_.outlier_min_history) return false;
+    const double med = median(series);
+    std::vector<double> dev;
+    for (double v : series) dev.push_back(std::fabs(v - med));
+    const double mad = median(std::move(dev));
+    const double d = std::fabs(x - med);
+    return d > o_.outlier_z * 1.4826 * mad &&
+           d > o_.outlier_ratio * std::fabs(med) && d > abs_floor;
+  }
+
+  void push(std::vector<double>& v, double x) const {
+    if (v.size() >= o_.outlier_window) v.erase(v.begin());
+    v.push_back(x);
+  }
+
+  SampleSanitizerOptions o_;
+  std::vector<History> h_;
+  std::size_t escapes_ = 0;
+};
+
+/// Drives one seeded series through the sanitizer and the reference;
+/// every verdict and every stats counter must agree.
+void expect_matches_reference(const SampleSanitizerOptions& o,
+                              std::uint64_t seed) {
+  constexpr std::size_t kProcs = 3;
+  // Each level draws its windows from a handful of multipliers, so the
+  // windows are full of exactly repeated values (ties in the median and
+  // in the deviations); rare level shifts run into the escape hatch.
+  constexpr std::array<double, 5> kJitter = {1.0, 1.0, 0.9, 1.1, 1.3};
+  SampleSanitizer san(o);
+  ReferenceMadFilter ref(o);
+  SanitizerStats expected;
+  Rng rng(seed);
+  std::array<double, kProcs> mpa_level{}, cpu_level{};
+  for (std::size_t p = 0; p < kProcs; ++p) {
+    mpa_level[p] = rng.uniform(0.005, 0.05);
+    cpu_level[p] = rng.uniform(2e-4, 1e-3);
+  }
+  for (int w = 0; w < 3000; ++w) {
+    sim::Sample s = window(0.03 * (w + 1));
+    s.core_rates.resize(kProcs);
+    s.occupancy.assign(kProcs, 4.0);
+    s.process_cpu.assign(kProcs, 0.0);
+    s.process_delta.assign(kProcs, s.process_delta[0]);
+    for (std::size_t p = 0; p < kProcs; ++p) {
+      const double u = rng.uniform();
+      if (u < 0.02) {  // level shift: 40x up or down
+        mpa_level[p] = std::clamp(
+            mpa_level[p] * (rng.uniform() < 0.5 ? 40.0 : 1.0 / 40.0), 1e-4,
+            0.9);
+        cpu_level[p] = std::clamp(
+            cpu_level[p] * (rng.uniform() < 0.5 ? 40.0 : 1.0 / 40.0), 1e-5,
+            0.02);
+      }
+      hpc::Counters& d = s.process_delta[p];
+      if (u > 0.97) {  // descheduled: no events, no time
+        d = hpc::Counters{};
+        continue;
+      }
+      double mpa = mpa_level[p] * kJitter[rng.uniform_index(5)];
+      double cpu = cpu_level[p] * kJitter[rng.uniform_index(5)];
+      if (u > 0.94) mpa *= 30.0;  // spikes
+      if (u > 0.91 && u <= 0.94) cpu *= 50.0;
+      d.l2_misses = std::min(mpa, 1.0) * d.l2_refs;
+      s.process_cpu[p] = std::min(cpu, 0.03);
+    }
+    const bool flagged = ref.outlier(s);
+    ++expected.windows;
+    if (flagged) {
+      ++expected.quarantined;
+      ++expected.quarantined_outlier;
+    } else {
+      ++expected.forwarded;
+    }
+    sim::Sample out;
+    ASSERT_EQ(san.sanitize(s, &out), !flagged) << "window " << w;
+  }
+  const SanitizerStats& got = san.stats();
+  EXPECT_EQ(got.windows, expected.windows);
+  EXPECT_EQ(got.forwarded, expected.forwarded);
+  EXPECT_EQ(got.repaired, expected.repaired);
+  EXPECT_EQ(got.quarantined, expected.quarantined);
+  EXPECT_EQ(got.quarantined_order, expected.quarantined_order);
+  EXPECT_EQ(got.quarantined_implausible, expected.quarantined_implausible);
+  EXPECT_EQ(got.quarantined_outlier, expected.quarantined_outlier);
+  EXPECT_EQ(got.quarantined_learned, expected.quarantined_learned);
+  EXPECT_EQ(got.learned_bounds, expected.learned_bounds);
+  // The series must actually exercise both verdicts and the hatch.
+  EXPECT_GT(expected.quarantined_outlier, 0u);
+  EXPECT_GT(expected.forwarded, 0u);
+  EXPECT_GT(ref.escapes(), 0u);
+}
+
+TEST(SampleSanitizer, SortedWindowMatchesReferenceMedianAndMad) {
+  for (std::size_t window_len : {8u, 16u, 17u}) {
+    // z_only leaves the robust z-score as the only live gate, so the
+    // verdicts turn on the exact MAD, not on the ratio and floor gates.
+    for (bool z_only : {false, true}) {
+      SampleSanitizerOptions o;
+      o.outlier_window = window_len;
+      // A shift overturns an 8-window median after 4 windows, so the
+      // hatch must open by then for the short window to reach it too.
+      o.outlier_escape = 4;
+      if (z_only) {
+        o.outlier_z = 4.0;
+        o.outlier_ratio = 0.0;
+        o.outlier_floor_mpa = 0.0;
+      }
+      for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "outlier_window " << window_len << ", z_only "
+                     << z_only << ", seed " << seed);
+        expect_matches_reference(o, seed);
+      }
+    }
+  }
 }
 
 TEST(SampleSanitizer, RejectsNonsenseOptions) {
