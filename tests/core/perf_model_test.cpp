@@ -238,9 +238,12 @@ TEST(AnalyticFeatures, HeterogeneousPredictionMatchesSimulation) {
 
 // --- Integration: predictions vs. simulated ground truth. -------------
 
+// The names are held by value, not as pointers: gtest prints the
+// parameter's raw bytes into the test name, and pointer bytes move with
+// the binary's layout while these stay the same in every build.
 struct PairCase {
-  const char* a;
-  const char* b;
+  char a[8];
+  char b[8];
 };
 
 class EquilibriumVsSimulation : public ::testing::TestWithParam<PairCase> {};
