@@ -4,9 +4,10 @@
 // on-line use* during process assignment: pricing one of the 2^k − 1
 // co-schedule subsets must cost microseconds, not simulation hours.
 // These benchmarks quantify the costs that claim rests on: MPA curve
-// evaluation, fill-curve construction, the on-line sanitizer's window
-// filter, the equilibrium solve (both solver variants), the §5 combined
-// power estimate, and assignment enumeration.
+// evaluation, fill-curve construction and lookup, the on-line
+// sanitizer's window filter, the equilibrium solve (both solver
+// variants), one engine what-if candidate, the §5 combined power
+// estimate, and assignment enumeration.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -77,6 +78,20 @@ void BM_FillCurveBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_FillCurveBuild);
 
+/// G⁻¹(S) lookups at scattered sizes, as the solvers evaluate it: the
+/// 1,025-knot curve of a 16-way cache.
+void BM_FillCurveEval(benchmark::State& state) {
+  const core::FeatureVector fv = features(1)[0];
+  const math::PiecewiseLinear g =
+      core::fill_curve(fv.histogram, machine().l2.ways);
+  double s = 0.05;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g(s));
+    s = s < 15.5 ? s + 0.37 : 0.05;
+  }
+}
+BENCHMARK(BM_FillCurveEval);
+
 /// One die slice of a four-process die on the 8-process server layout
 /// (the other die's slots idle, as System::split_sample leaves them),
 /// through a sanitizer whose 16-window MAD history is already full.
@@ -145,6 +160,21 @@ std::unique_ptr<engine::ModelEngine> engine_of(std::size_t k) {
     eng->register_process(std::move(p));
   return eng;
 }
+
+/// One warmed what-if candidate as a governor prices it: 3 processes,
+/// two time-sharing core 0 beside one on core 1, every core at the
+/// lowest DVFS level instead of the default clock.
+void BM_EnginePredictWhatIf(benchmark::State& state) {
+  const auto eng = engine_of(3);
+  engine::CoScheduleQuery q;
+  q.assignment = core::Assignment::empty(machine().cores);
+  q.assignment.per_core[0] = {0, 1};
+  q.assignment.per_core[1] = {2};
+  q.core_frequency.assign(machine().cores, machine().dvfs_levels.front());
+  benchmark::DoNotOptimize(eng->predict(q));  // memoize the fill curves
+  for (auto _ : state) benchmark::DoNotOptimize(eng->predict(q));
+}
+BENCHMARK(BM_EnginePredictWhatIf);
 
 void BM_CombinedEstimate(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));

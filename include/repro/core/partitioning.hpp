@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "repro/core/perf_model.hpp"
@@ -32,6 +33,11 @@ struct PartitionResult {
 
 /// Operating points when process i is confined to quotas[i] ways.
 /// Quotas must be ≥ 1 for every process and sum to ≤ the cache ways.
+std::vector<ProcessPrediction> predict_partitioned(
+    std::span<const SolverInput> processes,
+    std::span<const std::uint32_t> quotas);
+
+/// The same over whole feature vectors (validated with their names).
 std::vector<ProcessPrediction> predict_partitioned(
     const std::vector<FeatureVector>& processes,
     const std::vector<std::uint32_t>& quotas);

@@ -17,6 +17,12 @@
 // nearly-flat MPA curves. So a bare solve defaults to bisection, while
 // engine::ModelEngine runs Newton and re-solves a stalled die with
 // bisection.
+//
+// The solver reads each process through a SolverInput: a borrowed
+// histogram plus API, α and β at the clock being priced. The engine
+// builds those per query without copying a FeatureVector;
+// solve(std::vector<FeatureVector>) is the adapter for callers that
+// hold whole feature vectors, and gives bit-identical results.
 #pragma once
 
 #include <span>
@@ -66,6 +72,29 @@ struct FeatureVector {
   void validate() const;
 };
 
+/// One process as the solvers read it: a borrowed reuse histogram and
+/// the Eq. 3 law at the clock being priced. Two pointers' worth of
+/// setup per process instead of a FeatureVector copy; valid only while
+/// the histogram it points at lives.
+struct SolverInput {
+  const ReuseHistogram* histogram = nullptr;
+  double api = 0.0;
+  double alpha = 0.0;
+  double beta = 0.0;
+
+  /// `fv` as it stands: the inputs of an unscaled solve.
+  static SolverInput of(const FeatureVector& fv);
+  /// `fv` priced at `clock`: α and β scale by fit_frequency/clock, by
+  /// the same expression as fv.at_frequency(clock). At the fit clock,
+  /// or for a legacy vector (fit_frequency 0), they pass through as
+  /// they are.
+  static SolverInput at_clock(const FeatureVector& fv, Hertz clock);
+
+  Spi spi_at(Mpa mpa) const { return alpha * mpa + beta; }
+  /// The SPI-law checks of FeatureVector::validate, on these values.
+  void validate() const;
+};
+
 /// Steady-state prediction for one process in a co-schedule.
 struct ProcessPrediction {
   Ways effective_size = 0.0;  // S_i
@@ -90,7 +119,8 @@ struct SolveStats {
 
 /// Per-call options for EquilibriumSolver::solve — the single entry
 /// point that subsumes the historical solve / solve_weighted /
-/// solve_newton triple.
+/// solve_newton triple. The per-process spans are borrowed: the
+/// caller's storage must outlive the call.
 struct SolveOptions {
   enum class Method {
     /// Globally robust nested bisection on the τ-parametrization: never
@@ -109,7 +139,7 @@ struct SolveOptions {
   /// the time, but its lines stay resident and contend continuously,
   /// so only the fill rate is scaled; reported SPI/MPA remain
   /// per-running-time.
-  std::vector<double> cpu_share = {};
+  std::span<const double> cpu_share = {};
 
   /// Optional precomputed fill curves G⁻¹, one pointer per process,
   /// each exactly as built by fill_curve(fv.histogram, ways,
@@ -142,25 +172,29 @@ class EquilibriumSolver {
   /// k = 1 returns the full-cache operating point. See SolveOptions
   /// for method selection, CPU-share weighting, and memoized curves.
   std::vector<ProcessPrediction> solve(
+      std::span<const SolverInput> processes,
+      const SolveOptions& options = {}) const;
+
+  /// The same solve over whole feature vectors (validated with their
+  /// names, then read through SolverInput::of).
+  std::vector<ProcessPrediction> solve(
       const std::vector<FeatureVector>& processes,
       const SolveOptions& options = {}) const;
 
   std::uint32_t ways() const { return ways_; }
 
  private:
-  std::vector<math::PiecewiseLinear> fill_curves(
-      const std::vector<FeatureVector>& processes) const;
   std::vector<ProcessPrediction> solve_bisection(
-      const std::vector<FeatureVector>& processes,
-      const std::vector<double>& cpu_share,
+      std::span<const SolverInput> processes,
+      std::span<const double> cpu_share,
       std::span<const math::PiecewiseLinear* const> fill,
       std::span<const double> warm_start, SolveStats* stats) const;
   std::vector<ProcessPrediction> solve_newton_impl(
-      const std::vector<FeatureVector>& processes,
-      const std::vector<double>& cpu_share,
+      std::span<const SolverInput> processes,
+      std::span<const double> cpu_share,
       std::span<const math::PiecewiseLinear* const> fill,
       std::span<const double> warm_start, SolveStats* stats) const;
-  ProcessPrediction predict_at(const FeatureVector& fv, Ways s) const;
+  ProcessPrediction predict_at(const SolverInput& in, Ways s) const;
 
   std::uint32_t ways_;
   EquilibriumOptions options_;

@@ -63,6 +63,12 @@ Vector solve_spd(const Matrix& a, const Vector& b);
 /// Throws repro::Error on (numerical) singularity.
 Vector solve_lu(const Matrix& a, const Vector& b);
 
+/// The LU kernel behind solve_lu, in place and allocation-free: `a`
+/// holds the n×n matrix row-major and is overwritten by its factors;
+/// `b` holds the right-hand side and is overwritten by x. Returns
+/// false, leaving both clobbered, on a (numerically) zero pivot.
+bool solve_lu_in_place(std::span<double> a, std::span<double> b);
+
 /// Least-squares solution of A·x ≈ b (rows ≥ cols) via Householder QR.
 /// More numerically robust than the normal equations when regressors
 /// are nearly collinear, which happens for correlated HPC event rates.

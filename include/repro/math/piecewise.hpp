@@ -1,10 +1,14 @@
-// Piecewise-linear interpolation with inverse evaluation.
+// Piecewise-linear interpolation.
 //
 // The equilibrium solver (paper §3.3) relaxes the discrete per-way
 // quantities MPA(S) and G⁻¹(S) to continuous functions of the
 // effective cache size S. PiecewiseLinear holds sampled knots and
-// provides continuous evaluation, clamped extrapolation, and — for
-// monotone data — inverse lookup.
+// provides continuous evaluation with clamped extrapolation. Both of
+// those curves sit on uniform grids (MPA at every way, G⁻¹ at every
+// fill-curve step), so evaluation first tries the knot cell a uniform
+// grid predicts and binary-searches only when that guess misses; the
+// segment used is upper_bound's either way, so results do not depend
+// on the spacing.
 #pragma once
 
 #include <span>
@@ -24,14 +28,6 @@ class PiecewiseLinear {
   /// which are flat beyond the sampled ways).
   double operator()(double x) const;
 
-  /// Derivative of the interpolant (piecewise constant; at a knot the
-  /// right-segment slope is returned, 0 outside the range).
-  double derivative(double x) const;
-
-  /// Inverse lookup y → x. Requires the y knots to be monotone
-  /// (either direction); clamps outside the y range.
-  double inverse(double y) const;
-
   bool empty() const { return xs_.empty(); }
   std::span<const double> xs() const { return xs_; }
   std::span<const double> ys() const { return ys_; }
@@ -39,6 +35,7 @@ class PiecewiseLinear {
  private:
   std::vector<double> xs_;
   std::vector<double> ys_;
+  double inv_spacing_ = 0.0;  // 1 / mean knot spacing; 0 for one knot
 };
 
 }  // namespace repro::math

@@ -8,20 +8,20 @@ namespace repro::core {
 
 namespace {
 
-ProcessPrediction predict_at_ways(const FeatureVector& fv, double s) {
+ProcessPrediction predict_at_ways(const SolverInput& in, double s) {
   ProcessPrediction p;
   p.effective_size = s;
-  p.mpa = fv.histogram.mpa(s);
-  p.spi = fv.spi_at(p.mpa);
+  p.mpa = in.histogram->mpa(s);
+  p.spi = in.spi_at(p.mpa);
   REPRO_ENSURE(p.spi > 0.0, "non-positive SPI under partition");
-  p.aps = fv.api / p.spi;
+  p.aps = in.api / p.spi;
   return p;
 }
 
 /// Per-process utility of owning `s` ways, higher = better.
 double utility(const FeatureVector& fv, std::uint32_t s, std::uint32_t ways,
                PartitionObjective objective) {
-  const ProcessPrediction p = predict_at_ways(fv, s);
+  const ProcessPrediction p = predict_at_ways(SolverInput::of(fv), s);
   switch (objective) {
     case PartitionObjective::kThroughput:
       return 1.0 / p.spi;
@@ -40,8 +40,8 @@ double utility(const FeatureVector& fv, std::uint32_t s, std::uint32_t ways,
 }  // namespace
 
 std::vector<ProcessPrediction> predict_partitioned(
-    const std::vector<FeatureVector>& processes,
-    const std::vector<std::uint32_t>& quotas) {
+    std::span<const SolverInput> processes,
+    std::span<const std::uint32_t> quotas) {
   REPRO_ENSURE(!processes.empty(), "no processes");
   REPRO_ENSURE(quotas.size() == processes.size(), "quota count mismatch");
   std::vector<ProcessPrediction> out;
@@ -53,6 +53,18 @@ std::vector<ProcessPrediction> predict_partitioned(
         predict_at_ways(processes[i], static_cast<double>(quotas[i])));
   }
   return out;
+}
+
+std::vector<ProcessPrediction> predict_partitioned(
+    const std::vector<FeatureVector>& processes,
+    const std::vector<std::uint32_t>& quotas) {
+  std::vector<SolverInput> inputs;
+  inputs.reserve(processes.size());
+  for (const FeatureVector& fv : processes) {
+    fv.validate();
+    inputs.push_back(SolverInput::of(fv));
+  }
+  return predict_partitioned(std::span<const SolverInput>(inputs), quotas);
 }
 
 PartitionResult optimal_partition(

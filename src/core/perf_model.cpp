@@ -61,6 +61,31 @@ FeatureVector FeatureVector::at_frequency(Hertz hz) const {
   return out;
 }
 
+SolverInput SolverInput::of(const FeatureVector& fv) {
+  return {&fv.histogram, fv.api, fv.alpha, fv.beta};
+}
+
+SolverInput SolverInput::at_clock(const FeatureVector& fv, Hertz clock) {
+  SolverInput in = of(fv);
+  if (fv.fit_frequency > 0.0 && clock != fv.fit_frequency) {
+    REPRO_ENSURE(clock > 0.0, "target frequency must be positive");
+    const double scale = fv.fit_frequency / clock;
+    in.alpha = fv.alpha * scale;
+    in.beta = fv.beta * scale;
+  }
+  return in;
+}
+
+void SolverInput::validate() const {
+  REPRO_ENSURE(histogram != nullptr, "solver input needs a histogram");
+  REPRO_ENSURE(std::isfinite(api) && std::isfinite(alpha) &&
+                   std::isfinite(beta),
+               "API/alpha/beta must be finite");
+  REPRO_ENSURE(api > 0.0, "API must be positive");
+  REPRO_ENSURE(beta > 0.0, "beta (zero-miss SPI) must be positive");
+  REPRO_ENSURE(alpha > -beta, "SPI law must stay positive on [0, 1]");
+}
+
 EquilibriumSolver::EquilibriumSolver(std::uint32_t ways,
                                      EquilibriumOptions options)
     : ways_(ways), options_(options) {
@@ -70,42 +95,44 @@ EquilibriumSolver::EquilibriumSolver(std::uint32_t ways,
                "bad min_ways");
 }
 
-std::vector<math::PiecewiseLinear> EquilibriumSolver::fill_curves(
-    const std::vector<FeatureVector>& processes) const {
-  std::vector<math::PiecewiseLinear> curves;
-  curves.reserve(processes.size());
-  for (const FeatureVector& fv : processes)
-    curves.push_back(fill_curve(fv.histogram, ways_, options_.mpa_floor));
-  return curves;
-}
-
-ProcessPrediction EquilibriumSolver::predict_at(const FeatureVector& fv,
+ProcessPrediction EquilibriumSolver::predict_at(const SolverInput& in,
                                                 Ways s) const {
   ProcessPrediction p;
   p.effective_size = std::clamp(s, 0.0, static_cast<double>(ways_));
-  p.mpa = fv.histogram.mpa(p.effective_size);
-  p.spi = fv.spi_at(p.mpa);
+  p.mpa = in.histogram->mpa(p.effective_size);
+  p.spi = in.spi_at(p.mpa);
   REPRO_ENSURE(p.spi > 0.0, "non-positive predicted SPI");
-  p.aps = fv.api / p.spi;
+  p.aps = in.api / p.spi;
   return p;
 }
 
 std::vector<ProcessPrediction> EquilibriumSolver::solve(
     const std::vector<FeatureVector>& processes,
     const SolveOptions& options) const {
+  std::vector<SolverInput> inputs;
+  inputs.reserve(processes.size());
+  for (const FeatureVector& fv : processes) {
+    fv.validate();
+    inputs.push_back(SolverInput::of(fv));
+  }
+  return solve(std::span<const SolverInput>(inputs), options);
+}
+
+std::vector<ProcessPrediction> EquilibriumSolver::solve(
+    std::span<const SolverInput> processes,
+    const SolveOptions& options) const {
   const std::size_t k = processes.size();
   REPRO_ENSURE(k >= 1, "need at least one process");
   std::vector<double> unit_shares;
-  const std::vector<double>* share_ptr = &options.cpu_share;
-  if (options.cpu_share.empty()) {
+  std::span<const double> cpu_share = options.cpu_share;
+  if (cpu_share.empty()) {
     unit_shares.assign(k, 1.0);
-    share_ptr = &unit_shares;
+    cpu_share = unit_shares;
   }
-  const std::vector<double>& cpu_share = *share_ptr;
   REPRO_ENSURE(cpu_share.size() == k, "one share per process");
   for (double w : cpu_share)
     REPRO_ENSURE(w > 0.0 && w <= 1.0, "shares must be in (0, 1]");
-  for (const FeatureVector& fv : processes) fv.validate();
+  for (const SolverInput& in : processes) in.validate();
   if (!options.fill.empty())
     REPRO_ENSURE(options.fill.size() == k, "one fill curve per process");
   std::span<const double> warm_start = options.warm_start;
@@ -129,10 +156,13 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve(
   std::vector<const math::PiecewiseLinear*> own_ptrs;
   std::span<const math::PiecewiseLinear* const> fill = options.fill;
   if (fill.empty()) {
-    own_fill = fill_curves(processes);
+    own_fill.reserve(k);
     own_ptrs.reserve(k);
-    for (const math::PiecewiseLinear& curve : own_fill)
-      own_ptrs.push_back(&curve);
+    for (const SolverInput& in : processes) {
+      own_fill.push_back(
+          fill_curve(*in.histogram, ways_, options_.mpa_floor));
+      own_ptrs.push_back(&own_fill.back());
+    }
     fill = own_ptrs;
   }
 
@@ -144,8 +174,8 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve(
 }
 
 std::vector<ProcessPrediction> EquilibriumSolver::solve_bisection(
-    const std::vector<FeatureVector>& processes,
-    const std::vector<double>& cpu_share,
+    std::span<const SolverInput> processes,
+    std::span<const double> cpu_share,
     std::span<const math::PiecewiseLinear* const> fill,
     std::span<const double> warm_start, SolveStats* stats) const {
   const std::size_t k = processes.size();
@@ -157,7 +187,7 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_bisection(
   // a time-shared process issues accesses only while scheduled, so its
   // fill rate over wall time scales by its CPU share.
   auto aps_at = [&](std::size_t i, double s) {
-    const Mpa mpa = processes[i].histogram.mpa(s);
+    const Mpa mpa = processes[i].histogram->mpa(s);
     return cpu_share[i] * processes[i].api / processes[i].spi_at(mpa);
   };
 
@@ -229,8 +259,8 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_bisection(
 }
 
 std::vector<ProcessPrediction> EquilibriumSolver::solve_newton_impl(
-    const std::vector<FeatureVector>& processes,
-    const std::vector<double>& cpu_share,
+    std::span<const SolverInput> processes,
+    std::span<const double> cpu_share,
     std::span<const math::PiecewiseLinear* const> fill,
     std::span<const double> warm_start, SolveStats* stats) const {
   const std::size_t k = processes.size();
@@ -265,15 +295,14 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_newton_impl(
     m.victim = 1 - e;
     m.key[e] = key;
     m.terms[e] = {(*fill[i])(s),
-                  processes[i].spi_at(processes[i].histogram.mpa(s))};
+                  processes[i].spi_at(processes[i].histogram->mpa(s))};
     return m.terms[e];
   };
 
   // Unknowns: S_1..S_k. Equation 0 is Eq. 1 (normalized by A); for
   // i >= 1, Eq. 7 in cross-multiplied, relative form. CPU shares scale
   // each process's access rate, so API enters as cpu_share·API.
-  auto residuals = [&](const std::vector<double>& s) {
-    std::vector<double> f(k);
+  auto residuals = [&](std::span<const double> s, std::span<double> f) {
     double sum = 0.0;
     for (double v : s) sum += v;
     f[0] = (sum - a) / a;
@@ -287,35 +316,34 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_newton_impl(
       const double scale = 0.5 * (std::fabs(lhs) + std::fabs(rhs)) + 1e-300;
       f[i] = (lhs - rhs) / scale;
     }
-    return f;
   };
 
   const double floor = std::max(options_.min_ways, 0.05);
-  auto project = [&](std::vector<double>& s) {
+  auto project = [&](std::span<double> s) {
     for (double& v : s) v = std::clamp(v, floor, a);
   };
 
   // Seed from the previous equilibrium when the caller has one: after
   // a small profile delta the old steady state is inside Newton's
   // quadratic-convergence basin, so the re-solve lands in 1–2 damped
-  // steps instead of marching in from the uniform A/k split.
-  std::vector<double> start(k, a / static_cast<double>(k));
+  // steps instead of marching in from the uniform A/k split. Newton
+  // iterates in place: `s` ends at the solution.
+  std::vector<double> s(k, a / static_cast<double>(k));
   if (!warm_start.empty()) {
-    start.assign(warm_start.begin(), warm_start.end());
-    project(start);
+    std::copy(warm_start.begin(), warm_start.end(), s.begin());
+    project(s);
   }
   math::NewtonOptions opt;
   opt.f_tol = 1e-8;
   opt.max_iter = 200;
-  math::NewtonResult res =
-      math::newton_raphson(residuals, start, project, opt);
+  math::NewtonResult res = math::newton_raphson(residuals, s, project, opt);
   if (!res.converged && !warm_start.empty()) {
     // A warm start is only ever an optimization; a seed far from the
     // fixed point (e.g. projected in from outside [0, A]) must not turn
     // a solvable instance into a failure. Retry cold.
     const int warm_iterations = res.iterations;
-    start.assign(k, a / static_cast<double>(k));
-    res = math::newton_raphson(residuals, start, project, opt);
+    std::fill(s.begin(), s.end(), a / static_cast<double>(k));
+    res = math::newton_raphson(residuals, s, project, opt);
     res.iterations += warm_iterations;
   }
   REPRO_ENSURE(res.converged, "Newton equilibrium failed to converge");
@@ -324,7 +352,7 @@ std::vector<ProcessPrediction> EquilibriumSolver::solve_newton_impl(
   std::vector<ProcessPrediction> out;
   out.reserve(k);
   for (std::size_t i = 0; i < k; ++i)
-    out.push_back(predict_at(processes[i], res.x[i]));
+    out.push_back(predict_at(processes[i], s[i]));
   return out;
 }
 

@@ -343,49 +343,59 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
     out.total_power = snapshot.power_->idle_total();
   }
 
+  // Per-die solver inputs, gathered into buffers sized once for the
+  // whole query and refilled die by die.
+  struct Slot {
+    ProcessHandle handle;
+    CoreId core;
+  };
+  const std::size_t scheduled = query.assignment.process_count();
+  std::vector<Slot> slots;
+  std::vector<core::SolverInput> inputs;
+  std::vector<double> shares;
+  std::vector<const math::PiecewiseLinear*> fill;
+  std::vector<double> seeds;
+  slots.reserve(scheduled);
+  inputs.reserve(scheduled);
+  shares.reserve(scheduled);
+  fill.reserve(scheduled);
+  if (!query.warm_start.empty()) seeds.reserve(scheduled);
+
   for (DieId die = 0; die < machine_.dies; ++die) {
     // Gather the die's processes in (core, slot) order, with the CPU
     // share of their run queue and their memoized fill curves.
-    struct Slot {
-      ProcessHandle handle;
-      CoreId core;
+    const auto on_die = [&](CoreId c) {
+      return machine_.core_to_die[c] == die;
     };
-    const std::vector<CoreId> die_cores = machine_.cores_on_die(die);
-    std::size_t on_die = 0;
-    for (CoreId c : die_cores) on_die += query.assignment.per_core[c].size();
-    if (on_die == 0) continue;
-    std::vector<Slot> slots;
-    std::vector<core::FeatureVector> features;
-    std::vector<double> shares;
-    std::vector<const math::PiecewiseLinear*> fill;
-    std::vector<double> seeds;
-    slots.reserve(on_die);
-    features.reserve(on_die);
-    shares.reserve(on_die);
-    fill.reserve(on_die);
-    for (CoreId c : die_cores) {
+    slots.clear();
+    inputs.clear();
+    shares.clear();
+    fill.clear();
+    seeds.clear();
+    for (CoreId c = 0; c < machine_.cores; ++c) {
+      if (!on_die(c)) continue;
       const std::size_t q = query.assignment.per_core[c].size();
       for (std::size_t slot = 0; slot < q; ++slot) {
         const std::size_t idx = query.assignment.per_core[c][slot];
         const Entry& entry =
             snapshot.entry_of(static_cast<ProcessHandle>(idx));
         slots.push_back({static_cast<ProcessHandle>(idx), c});
-        // Rescale Eq. 3 to the core's clock on the per-query copy; the
+        // Price Eq. 3 at the core's clock by borrowing the histogram and
+        // scaling α/β exactly as FeatureVector::at_frequency does. The
         // memoized fill curve stays valid because it is a function of
-        // the histogram only, which is frequency-free.
-        // at_frequency is an exact no-op at the profile's own clock,
-        // and a legacy profile (fit_frequency 0) is used as-is — both
-        // keep the pre-frequency-aware results bit-identical.
-        const core::FeatureVector& fv = entry.profile.features;
-        const Hertz clock = clock_of(c);
-        features.push_back(fv.fit_frequency > 0.0 ? fv.at_frequency(clock)
-                                                  : fv);
+        // the histogram only, which is frequency-free. At the profile's
+        // own clock, and for a legacy profile (fit_frequency 0), α/β
+        // pass through unchanged — both keep the pre-frequency-aware
+        // results bit-identical.
+        inputs.push_back(
+            core::SolverInput::at_clock(entry.profile.features, clock_of(c)));
         shares.push_back(1.0 / static_cast<double>(q));
         fill.push_back(&artifacts_of(entry).fill);
         if (!query.warm_start.empty())
           seeds.push_back(query.warm_start[slot_offset[c] + slot]);
       }
     }
+    if (slots.empty()) continue;
 
     std::vector<core::ProcessPrediction> eq;
     const bool partitioned =
@@ -398,7 +408,8 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
       for (std::uint32_t w : quotas) claimed += w;
       REPRO_ENSURE(claimed <= machine_.l2.ways,
                    "partition exceeds the cache ways");
-      eq = core::predict_partitioned(features, quotas);
+      eq = core::predict_partitioned(
+          std::span<const core::SolverInput>(inputs), quotas);
     } else {
       core::SolveOptions solve_options;
       solve_options.method = options_.method;
@@ -407,19 +418,20 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
       solve_options.warm_start = seeds;  // empty = cold, bit-identical
       core::SolveStats stats;
       solve_options.stats = &stats;
+      const std::span<const core::SolverInput> die_inputs(inputs);
       if (options_.method == core::SolveOptions::Method::kNewton) {
         try {
-          eq = solver_.solve(features, solve_options);
+          eq = solver_.solve(die_inputs, solve_options);
         } catch (const Error&) {
           // Newton can stall on nearly-flat MPA curves, where the
           // bisection form cannot fail on a well-posed instance: re-solve
           // the die with it instead of failing the query, and count it.
           solve_options.method = core::SolveOptions::Method::kBisection;
-          eq = solver_.solve(features, solve_options);
+          eq = solver_.solve(die_inputs, solve_options);
           ++out.solver_fallbacks;
         }
       } else {
-        eq = solver_.solve(features, solve_options);
+        eq = solver_.solve(die_inputs, solve_options);
       }
       out.solver_iterations += stats.iterations;
     }
@@ -427,9 +439,9 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
     // Assemble §4/§5: core power is the time average over the run
     // queue; the package total adds each busy core's dynamic power.
     std::size_t cursor = 0;
-    for (CoreId c : die_cores) {
+    for (CoreId c = 0; c < machine_.cores; ++c) {
       const std::size_t q = query.assignment.per_core[c].size();
-      if (q == 0) continue;
+      if (q == 0 || !on_die(c)) continue;
       Watts dyn = 0.0;
       double ips = 0.0;
       for (std::size_t slot = 0; slot < q; ++slot, ++cursor) {

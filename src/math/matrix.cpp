@@ -83,12 +83,12 @@ Vector solve_spd(const Matrix& a, const Vector& b) {
   return x;
 }
 
-Vector solve_lu(const Matrix& a, const Vector& b) {
-  const std::size_t n = a.rows();
-  REPRO_ENSURE(a.cols() == n && b.size() == n, "solve_lu shape mismatch");
-  Matrix lu = a;
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
+bool solve_lu_in_place(std::span<double> a, std::span<double> b) {
+  const std::size_t n = b.size();
+  REPRO_ENSURE(a.size() == n * n, "solve_lu shape mismatch");
+  const auto lu = [&](std::size_t r, std::size_t c) -> double& {
+    return a[r * n + c];
+  };
 
   for (std::size_t col = 0; col < n; ++col) {
     std::size_t pivot = col;
@@ -100,11 +100,12 @@ Vector solve_lu(const Matrix& a, const Vector& b) {
         pivot = r;
       }
     }
-    REPRO_ENSURE(best > 1e-300, "singular matrix in solve_lu");
+    if (!(best > 1e-300)) return false;  // singular (or NaN) pivot
     if (pivot != col) {
       for (std::size_t c = 0; c < n; ++c)
         std::swap(lu(pivot, c), lu(col, c));
-      std::swap(perm[pivot], perm[col]);
+      // Swapping b with the rows keeps b[i] = b_original[perm[i]].
+      std::swap(b[pivot], b[col]);
     }
     for (std::size_t r = col + 1; r < n; ++r) {
       lu(r, col) /= lu(col, col);
@@ -115,17 +116,29 @@ Vector solve_lu(const Matrix& a, const Vector& b) {
     }
   }
 
-  Vector x(n);
+  // Forward then back substitution, each writing x over b.
   for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[perm[i]];
-    for (std::size_t k = 0; k < i; ++k) sum -= lu(i, k) * x[k];
-    x[i] = sum;
+    double sum = b[i];
+    for (std::size_t k = 0; k < i; ++k) sum -= lu(i, k) * b[k];
+    b[i] = sum;
   }
   for (std::size_t ii = n; ii-- > 0;) {
-    double sum = x[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) sum -= lu(ii, k) * x[k];
-    x[ii] = sum / lu(ii, ii);
+    double sum = b[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) sum -= lu(ii, k) * b[k];
+    b[ii] = sum / lu(ii, ii);
   }
+  return true;
+}
+
+Vector solve_lu(const Matrix& a, const Vector& b) {
+  const std::size_t n = a.rows();
+  REPRO_ENSURE(a.cols() == n && b.size() == n, "solve_lu shape mismatch");
+  std::vector<double> lu(n * n);
+  for (std::size_t r = 0; r < n; ++r)
+    std::copy(a.row(r).begin(), a.row(r).end(), lu.begin() + r * n);
+  Vector x = b;
+  const bool nonsingular = solve_lu_in_place(lu, x);
+  REPRO_ENSURE(nonsingular, "singular matrix in solve_lu");
   return x;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "repro/common/ensure.hpp"
 
@@ -14,6 +15,14 @@ PiecewiseLinear::PiecewiseLinear(std::vector<double> xs,
                "knot arrays must be nonempty and equal length");
   for (std::size_t i = 1; i < xs_.size(); ++i)
     REPRO_ENSURE(xs_[i] > xs_[i - 1], "x knots must be strictly increasing");
+  // The grid guess must stay a finite, nonnegative index: a span so
+  // narrow the reciprocal overflows (or so wide the span does) makes
+  // every lookup binary-search instead.
+  if (xs_.size() > 1) {
+    const double inv =
+        static_cast<double>(xs_.size() - 1) / (xs_.back() - xs_.front());
+    if (std::isfinite(inv)) inv_spacing_ = inv;
+  }
 }
 
 double PiecewiseLinear::operator()(double x) const {
@@ -22,49 +31,21 @@ double PiecewiseLinear::operator()(double x) const {
   REPRO_ENSURE(!std::isnan(x), "interpolant argument is NaN");
   if (x <= xs_.front()) return ys_.front();
   if (x >= xs_.back()) return ys_.back();
-  const auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
-  const std::size_t hi = static_cast<std::size_t>(it - xs_.begin());
+  // Here front < x < back, so upper_bound lies in [1, size − 1]. Try
+  // the cell a uniform grid predicts; keep it only if it brackets x the
+  // way upper_bound would (xs[hi−1] <= x < xs[hi]), else search.
+  // (The guess converts through a signed integer: one instruction,
+  // where a double → size_t conversion needs a range branch.)
+  const std::size_t last = xs_.size() - 1;
+  std::size_t hi = std::min(
+      last, 1 + static_cast<std::size_t>(static_cast<std::int64_t>(
+                    (x - xs_.front()) * inv_spacing_)));
+  if (!(xs_[hi - 1] <= x && x < xs_[hi]))
+    hi = static_cast<std::size_t>(
+        std::upper_bound(xs_.begin(), xs_.end(), x) - xs_.begin());
   const std::size_t lo = hi - 1;
   const double t = (x - xs_[lo]) / (xs_[hi] - xs_[lo]);
   return ys_[lo] + t * (ys_[hi] - ys_[lo]);
-}
-
-double PiecewiseLinear::derivative(double x) const {
-  REPRO_ENSURE(!xs_.empty(), "empty interpolant");
-  if (x < xs_.front() || x > xs_.back() || xs_.size() == 1) return 0.0;
-  auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
-  if (it == xs_.end()) --it;  // x == back(): use the last segment
-  const std::size_t hi =
-      std::max<std::size_t>(1, static_cast<std::size_t>(it - xs_.begin()));
-  const std::size_t lo = hi - 1;
-  return (ys_[hi] - ys_[lo]) / (xs_[hi] - xs_[lo]);
-}
-
-double PiecewiseLinear::inverse(double y) const {
-  REPRO_ENSURE(!ys_.empty(), "empty interpolant");
-  const bool increasing = ys_.back() >= ys_.front();
-  // Verify monotonicity in the requested direction (weak).
-  for (std::size_t i = 1; i < ys_.size(); ++i)
-    REPRO_ENSURE(increasing ? ys_[i] >= ys_[i - 1] : ys_[i] <= ys_[i - 1],
-                 "inverse requires monotone y knots");
-
-  const double y_lo = increasing ? ys_.front() : ys_.back();
-  const double y_hi = increasing ? ys_.back() : ys_.front();
-  if (y <= y_lo) return increasing ? xs_.front() : xs_.back();
-  if (y >= y_hi) return increasing ? xs_.back() : xs_.front();
-
-  // Find the containing segment by scanning (knot counts here are tiny:
-  // at most the cache associativity).
-  for (std::size_t i = 1; i < ys_.size(); ++i) {
-    const double a = ys_[i - 1];
-    const double b = ys_[i];
-    const bool inside = increasing ? (y >= a && y <= b) : (y <= a && y >= b);
-    if (!inside) continue;
-    if (a == b) return xs_[i - 1];  // flat segment: leftmost preimage
-    const double t = (y - a) / (b - a);
-    return xs_[i - 1] + t * (xs_[i] - xs_[i - 1]);
-  }
-  return xs_.back();  // unreachable given the clamps above
 }
 
 }  // namespace repro::math

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "repro/common/ensure.hpp"
 #include "repro/math/matrix.hpp"
 
 namespace repro::math {
 
-double solve_bracketed(const std::function<double(double)>& f, double lo,
-                       double hi, double x_tol, int max_iter) {
+double solve_bracketed(FunctionRef<double(double)> f, double lo, double hi,
+                       double x_tol, int max_iter) {
   REPRO_ENSURE(lo <= hi, "invalid bracket");
   double f_lo = f(lo);
   double f_hi = f(hi);
@@ -47,7 +48,7 @@ double solve_bracketed(const std::function<double(double)>& f, double lo,
 
 namespace {
 
-double inf_norm(const std::vector<double>& v) {
+double inf_norm(std::span<const double> v) {
   double m = 0.0;
   for (double e : v) m = std::max(m, std::fabs(e));
   return m;
@@ -55,19 +56,25 @@ double inf_norm(const std::vector<double>& v) {
 
 }  // namespace
 
-NewtonResult newton_raphson(
-    const std::function<std::vector<double>(const std::vector<double>&)>& f,
-    std::vector<double> x0,
-    const std::function<void(std::vector<double>&)>& project,
-    const NewtonOptions& options) {
-  const std::size_t n = x0.size();
+NewtonResult newton_raphson(NewtonResidual f, std::span<double> x,
+                            NewtonProjection project,
+                            const NewtonOptions& options) {
+  const std::size_t n = x.size();
   REPRO_ENSURE(n > 0, "newton_raphson needs unknowns");
-  if (project) project(x0);
+  // One workspace for the whole solve: F(x), a probe point and its
+  // residual (Jacobian columns, then line-search trials), the step,
+  // and the n×n Jacobian that the LU factors overwrite.
+  std::vector<double> work(n * (n + 4));
+  const std::span<double> ws(work);
+  const std::span<double> fx = ws.subspan(0, n);
+  const std::span<double> probe = ws.subspan(n, n);
+  const std::span<double> f_probe = ws.subspan(2 * n, n);
+  const std::span<double> step = ws.subspan(3 * n, n);
+  const std::span<double> jac = ws.subspan(4 * n);
 
+  if (project) project(x);
   NewtonResult result;
-  result.x = std::move(x0);
-  std::vector<double> fx = f(result.x);
-  REPRO_ENSURE(fx.size() == n, "F must map R^n to R^n");
+  f(x, fx);
 
   for (int it = 0; it < options.max_iter; ++it) {
     result.iterations = it;
@@ -77,41 +84,37 @@ NewtonResult newton_raphson(
       return result;
     }
 
-    // Forward-difference Jacobian, column by column.
-    Matrix jac(n, n);
+    // Forward-difference Jacobian, column by column; a column whose
+    // probe the projection undoes stays zero.
     for (std::size_t c = 0; c < n; ++c) {
-      const double h =
-          options.jacobian_eps * std::max(1.0, std::fabs(result.x[c]));
-      std::vector<double> xp = result.x;
-      xp[c] += h;
-      if (project) project(xp);
-      const double h_actual = xp[c] - result.x[c];
-      if (h_actual == 0.0) continue;
-      const std::vector<double> fp = f(xp);
+      const double h = options.jacobian_eps * std::max(1.0, std::fabs(x[c]));
+      std::copy(x.begin(), x.end(), probe.begin());
+      probe[c] += h;
+      if (project) project(probe);
+      const double h_actual = probe[c] - x[c];
+      if (h_actual == 0.0) {
+        for (std::size_t r = 0; r < n; ++r) jac[r * n + c] = 0.0;
+        continue;
+      }
+      f(probe, f_probe);
       for (std::size_t r = 0; r < n; ++r)
-        jac(r, c) = (fp[r] - fx[r]) / h_actual;
+        jac[r * n + c] = (f_probe[r] - fx[r]) / h_actual;
     }
 
-    std::vector<double> rhs(n);
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = -fx[i];
-    std::vector<double> step;
-    try {
-      step = solve_lu(jac, rhs);
-    } catch (const Error&) {
-      break;  // singular Jacobian: give up, report non-convergence
-    }
+    for (std::size_t i = 0; i < n; ++i) step[i] = -fx[i];
+    // Singular Jacobian: give up, report non-convergence.
+    if (!solve_lu_in_place(jac, step)) break;
 
     // Backtracking line search on ‖F‖∞.
     double lambda = 1.0;
     bool accepted = false;
     for (int bt = 0; bt < 30; ++bt) {
-      std::vector<double> x_new = result.x;
-      for (std::size_t i = 0; i < n; ++i) x_new[i] += lambda * step[i];
-      if (project) project(x_new);
-      const std::vector<double> f_new = f(x_new);
-      if (inf_norm(f_new) < result.residual_norm) {
-        result.x = std::move(x_new);
-        fx = f_new;
+      for (std::size_t i = 0; i < n; ++i) probe[i] = x[i] + lambda * step[i];
+      if (project) project(probe);
+      f(probe, f_probe);
+      if (inf_norm(f_probe) < result.residual_norm) {
+        std::copy(probe.begin(), probe.end(), x.begin());
+        std::copy(f_probe.begin(), f_probe.end(), fx.begin());
         accepted = true;
         break;
       }

@@ -187,7 +187,8 @@ TEST(EquilibriumSolver, PredictionsSatisfyEq7) {
 
 TEST(EquilibriumSolver, RejectsDegenerateInputs) {
   const EquilibriumSolver solver(16);
-  EXPECT_THROW(solver.solve({}), Error);
+  EXPECT_THROW(solver.solve(std::vector<FeatureVector>{}), Error);
+  EXPECT_THROW(solver.solve(std::span<const SolverInput>{}), Error);
   EXPECT_THROW(EquilibriumSolver(0), Error);
 }
 

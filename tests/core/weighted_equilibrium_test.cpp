@@ -33,8 +33,8 @@ TEST(WeightedEquilibrium, UnitSharesMatchPlainSolve) {
   const EquilibriumSolver solver(16);
   const std::vector<FeatureVector> procs{worker(), sprinter()};
   const auto plain = solver.solve(procs);
-  const auto weighted =
-      solver.solve(procs, SolveOptions{.cpu_share = {1.0, 1.0}});
+  const std::vector<double> unit = {1.0, 1.0};
+  const auto weighted = solver.solve(procs, SolveOptions{.cpu_share = unit});
   for (std::size_t i = 0; i < procs.size(); ++i)
     EXPECT_NEAR(plain[i].effective_size, weighted[i].effective_size, 1e-9);
 }
@@ -42,9 +42,11 @@ TEST(WeightedEquilibrium, UnitSharesMatchPlainSolve) {
 TEST(WeightedEquilibrium, SmallerShareShrinksCacheFootprint) {
   const EquilibriumSolver solver(16);
   const std::vector<FeatureVector> procs{worker(), sprinter()};
-  const auto full = solver.solve(procs, SolveOptions{.cpu_share = {1.0, 1.0}});
+  const std::vector<double> unit = {1.0, 1.0};
+  const std::vector<double> quarter = {0.25, 1.0};
+  const auto full = solver.solve(procs, SolveOptions{.cpu_share = unit});
   const auto quartered =
-      solver.solve(procs, SolveOptions{.cpu_share = {0.25, 1.0}});
+      solver.solve(procs, SolveOptions{.cpu_share = quarter});
   EXPECT_LT(quartered[0].effective_size, full[0].effective_size - 0.3);
   EXPECT_GT(quartered[1].effective_size, full[1].effective_size + 0.3);
 }
@@ -52,8 +54,8 @@ TEST(WeightedEquilibrium, SmallerShareShrinksCacheFootprint) {
 TEST(WeightedEquilibrium, SizesStillSumToAssociativity) {
   const EquilibriumSolver solver(16);
   const std::vector<FeatureVector> procs{worker(), worker(), sprinter()};
-  const auto pred =
-      solver.solve(procs, SolveOptions{.cpu_share = {0.5, 0.5, 1.0}});
+  const std::vector<double> shares = {0.5, 0.5, 1.0};
+  const auto pred = solver.solve(procs, SolveOptions{.cpu_share = shares});
   double total = 0.0;
   for (const auto& p : pred) total += p.effective_size;
   EXPECT_NEAR(total, 16.0, 1e-6);
@@ -64,10 +66,12 @@ TEST(WeightedEquilibrium, SizesStillSumToAssociativity) {
 TEST(WeightedEquilibrium, RejectsBadShares) {
   const EquilibriumSolver solver(16);
   const std::vector<FeatureVector> procs{worker(), sprinter()};
-  EXPECT_THROW(solver.solve(procs, SolveOptions{.cpu_share = {1.0}}), Error);
-  EXPECT_THROW(solver.solve(procs, SolveOptions{.cpu_share = {0.0, 1.0}}),
-               Error);
-  EXPECT_THROW(solver.solve(procs, SolveOptions{.cpu_share = {1.5, 1.0}}),
+  const std::vector<double> too_few = {1.0};
+  const std::vector<double> zero = {0.0, 1.0};
+  const std::vector<double> over_one = {1.5, 1.0};
+  EXPECT_THROW(solver.solve(procs, SolveOptions{.cpu_share = too_few}), Error);
+  EXPECT_THROW(solver.solve(procs, SolveOptions{.cpu_share = zero}), Error);
+  EXPECT_THROW(solver.solve(procs, SolveOptions{.cpu_share = over_one}),
                Error);
 }
 
@@ -76,11 +80,11 @@ TEST(WeightedEquilibrium, MethodsAgreeOnWellPosedInstances) {
   // methods behind the single entry point must still agree.
   const EquilibriumSolver solver(16);
   const std::vector<FeatureVector> procs{worker(), sprinter()};
-  const auto bisect =
-      solver.solve(procs, SolveOptions{.cpu_share = {0.5, 1.0}});
+  const std::vector<double> shares = {0.5, 1.0};
+  const auto bisect = solver.solve(procs, SolveOptions{.cpu_share = shares});
   const auto newton = solver.solve(
       procs, SolveOptions{.method = SolveOptions::Method::kNewton,
-                          .cpu_share = {0.5, 1.0}});
+                          .cpu_share = shares});
   for (std::size_t i = 0; i < procs.size(); ++i) {
     EXPECT_NEAR(bisect[i].effective_size, newton[i].effective_size, 1e-4);
     EXPECT_NEAR(bisect[i].spi, newton[i].spi, bisect[i].spi * 1e-4);

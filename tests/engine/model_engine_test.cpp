@@ -96,6 +96,9 @@ std::vector<CoScheduleQuery> random_queries(std::size_t count,
 /// exact accumulation order (floating-point addition is not
 /// associative, so parity at the bit level requires the same order),
 /// solved with the engine's method and its Newton→bisection fallback.
+/// Each process is an at_frequency copy at its core's clock (legacy
+/// profiles as they are), and a die the query partitions goes through
+/// predict_partitioned.
 SystemPrediction direct_prediction(
     const sim::MachineConfig& machine, const core::PowerModel* power,
     const std::vector<core::ProcessProfile>& profiles,
@@ -112,9 +115,13 @@ SystemPrediction direct_prediction(
     std::vector<double> shares;
     for (CoreId c : machine.cores_on_die(die)) {
       const std::size_t q = query.assignment.per_core[c].size();
+      const Hertz clock = query.core_frequency.empty()
+                              ? machine.frequency_of(c)
+                              : query.core_frequency[c];
       for (std::size_t idx : query.assignment.per_core[c]) {
         slots.push_back(idx);
-        features.push_back(profiles[idx].features);
+        const core::FeatureVector& f = profiles[idx].features;
+        features.push_back(f.fit_frequency > 0.0 ? f.at_frequency(clock) : f);
         shares.push_back(1.0 / static_cast<double>(q));
       }
     }
@@ -123,12 +130,16 @@ SystemPrediction direct_prediction(
     options.method = method;
     options.cpu_share = shares;
     std::vector<core::ProcessPrediction> eq;
-    try {
-      eq = solver.solve(features, options);
-    } catch (const Error&) {
-      if (method != core::SolveOptions::Method::kNewton) throw;
-      options.method = core::SolveOptions::Method::kBisection;
-      eq = solver.solve(features, options);
+    if (!query.partition.empty() && !query.partition[die].empty()) {
+      eq = core::predict_partitioned(features, query.partition[die]);
+    } else {
+      try {
+        eq = solver.solve(features, options);
+      } catch (const Error&) {
+        if (method != core::SolveOptions::Method::kNewton) throw;
+        options.method = core::SolveOptions::Method::kBisection;
+        eq = solver.solve(features, options);
+      }
     }
 
     std::size_t cursor = 0;
@@ -471,12 +482,13 @@ TEST(ModelEngine, NewtonFailureFallsBackToBisectionBitForBit) {
   const sim::MachineConfig machine = sim::four_core_server();
   const auto profiles = suite();
   const core::EquilibriumSolver solver(machine.l2.ways);
+  const std::vector<double> shares = {1.0, 0.5, 0.5};
   ASSERT_THROW(
       solver.solve({profiles[2].features, profiles[1].features,
                     profiles[3].features},
                    core::SolveOptions{
                        .method = core::SolveOptions::Method::kNewton,
-                       .cpu_share = {1.0, 0.5, 0.5}}),
+                       .cpu_share = shares}),
       Error);
 
   EngineOptions bisection;
@@ -1009,6 +1021,58 @@ TEST(ModelEngine, QueryClockRescalesPredictionsExactly) {
         eng.predict(bad);
       },
       Error);
+}
+
+TEST(ModelEngine, MultiProcessWhatIfMatchesAtFrequencyCopiesBitForBit) {
+  // predict borrows each histogram and scales α/β in place; the
+  // at_frequency copies fed to the FeatureVector solve and to
+  // predict_partitioned must give the same bits. Die 0 holds three
+  // processes (two time-sharing core 0), die 1 two; every busy core
+  // runs at a DVFS level other than the machine's 2.4 GHz default, and
+  // "sprinter" is a legacy profile (fit_frequency 0) that ignores it.
+  const sim::MachineConfig machine = sim::four_core_server();
+  const core::PowerModel power = model();
+  auto profiles = suite();
+  for (std::size_t i = 0; i < profiles.size(); ++i)
+    if (profiles[i].name != "sprinter")
+      profiles[i].features.fit_frequency = machine.frequency;
+  const std::vector<Hertz>& levels = machine.dvfs_levels;
+
+  CoScheduleQuery shared;
+  shared.assignment = core::Assignment::empty(machine.cores);
+  shared.assignment.per_core[0] = {0, 1};
+  shared.assignment.per_core[1] = {2};
+  shared.assignment.per_core[2] = {3};
+  shared.assignment.per_core[3] = {4};
+  shared.core_frequency = {levels[0], levels[1], levels[2], levels[0]};
+  CoScheduleQuery pinned = shared;  // die 0 way-partitioned, die 1 shared
+  pinned.partition = {{7, 4, 5}, {}};
+  CoScheduleQuery at_default = shared;
+  at_default.core_frequency.clear();
+
+  for (const auto method : {core::SolveOptions::Method::kNewton,
+                            core::SolveOptions::Method::kBisection}) {
+    SCOPED_TRACE(method == core::SolveOptions::Method::kNewton ? "newton"
+                                                               : "bisection");
+    EngineOptions options;
+    options.method = method;
+    ModelEngine eng(machine, power, options);
+    for (const auto& p : profiles) eng.register_process(p);
+    for (const CoScheduleQuery* q : {&shared, &pinned, &at_default})
+      expect_bitwise_equal(eng.predict(*q), direct_prediction(machine, &power,
+                                                              profiles, *q,
+                                                              method));
+    // The what-if clocks are live: every rescaled process runs slower
+    // than at the default clock.
+    const SystemPrediction slow = eng.predict(shared);
+    const SystemPrediction fast = eng.predict(at_default);
+    ASSERT_EQ(slow.processes.size(), fast.processes.size());
+    for (std::size_t i = 0; i < slow.processes.size(); ++i) {
+      if (profiles[slow.processes[i].handle].name == "sprinter") continue;
+      EXPECT_GT(slow.processes[i].prediction.spi,
+                fast.processes[i].prediction.spi);
+    }
+  }
 }
 
 TEST(ModelEngine, TryApplyRejectsFitFrequencyMismatch) {
