@@ -1,31 +1,34 @@
-// A small work-stealing thread pool for fan-out model evaluation.
+// A small thread pool for fan-out model evaluation.
 //
 // The ModelEngine (repro/engine) evaluates many independent co-schedule
 // candidates per batch; each candidate is CPU-bound and takes a few
 // microseconds to a few milliseconds depending on the co-schedule size,
 // so dynamic load balancing matters more than queueing sophistication.
-// Each worker owns a deque: it pops its own tasks LIFO (cache-warm) and
-// steals FIFO from victims when empty. parallel_for() additionally lets
-// the *calling* thread participate, so a pool is never slower than the
-// plain loop it replaces, and a pool of size 1 degenerates to serial
-// execution on the caller plus one helper.
+// The pool's one operation is parallel_for: the calling thread posts a
+// job, idle workers join the oldest posted job that still has unclaimed
+// indices, and every participant — the caller included — claims
+// indices one atomic increment at a time. Because the caller
+// participates, a pool is never slower than the plain loop it replaces,
+// and a pool of size 1 degenerates to serial execution on the caller
+// plus one helper.
 //
-// Guarantees relied on by the engine's determinism tests: tasks receive
-// only their index, workers never reorder a task's internal work, and
-// parallel_for returns only after every index in [0, n) ran exactly
-// once (rethrowing the first task exception, if any).
+// Guarantees relied on by the engine's determinism tests: bodies
+// receive only their index, workers never reorder a body's internal
+// work, and parallel_for returns only after every index in [0, n) ran
+// exactly once (rethrowing the first body exception, if any). Several
+// threads may call parallel_for on one pool at once.
 //
 // Concurrency invariants are declared with clang thread-safety
-// annotations (see repro/common/thread_annotations.hpp): each Queue's
-// deque is guarded by that queue's mutex, and the scheduler state
-// (pending_, next_queue_, stopping_) by sleep_mutex_. The two are
-// never held together — every sleep_mutex_ critical section ends
-// before a queue mutex is taken and vice versa — so there is no lock
-// order to maintain.
+// annotations (see repro/common/thread_annotations.hpp): the posted-job
+// list and stopping_ are guarded by mutex_, each job's completion state
+// by its own done_mutex. The two are never held together, so there is
+// no lock order between them to maintain.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -48,17 +51,12 @@ class ThreadPool {
   /// Number of worker threads (excluding callers joining parallel_for).
   std::size_t size() const { return workers_.size(); }
 
-  /// Fire-and-forget task; runs on some worker. Safe to call from
-  /// worker threads (nested submission feeds the submitter's own deque,
-  /// which is what makes the stealing useful).
-  void submit(std::function<void()> task);
-
   /// Run body(i) for every i in [0, n), distributing indices over the
   /// workers *and* the calling thread, and block until all have
-  /// completed. Indices are claimed dynamically (work stealing at item
-  /// granularity), so uneven per-index cost balances automatically.
-  /// The first exception thrown by any body(i) is rethrown here after
-  /// all claimed work has drained.
+  /// completed. Indices are claimed dynamically, one at a time, so
+  /// uneven per-index cost balances automatically. The first exception
+  /// thrown by any body(i) is rethrown here after all claimed work has
+  /// drained.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
@@ -66,28 +64,42 @@ class ThreadPool {
   static std::size_t default_threads();
 
  private:
-  struct Queue {
-    Mutex mutex;
-    std::deque<std::function<void()>> tasks REPRO_GUARDED_BY(mutex);
+  /// One parallel_for call, shared by its caller and every worker that
+  /// joined it: a worker may still hold the job after the caller has
+  /// returned, so it is reference-counted, and `body` — owned by the
+  /// caller's frame — is read only after a successful claim, which no
+  /// participant makes once every index is handed out.
+  struct Job {
+    Job(const std::function<void(std::size_t)>& b, std::size_t n)
+        : body(b), limit(n) {}
+
+    /// Claim loop shared by the caller and the workers: indices are
+    /// handed out one atomic fetch at a time, so load imbalance between
+    /// candidates self-corrects. Returns once no index is left to claim.
+    void drain();
+
+    const std::function<void(std::size_t)>& body;
+    const std::size_t limit;
+    std::atomic<std::size_t> next{0};
+    // Finished indices. Counted outside done_mutex so finishing an
+    // index takes no lock: with microsecond bodies a per-index lock
+    // convoys behind whichever thread was preempted holding it.
+    std::atomic<std::size_t> completed{0};
+    Mutex done_mutex;
+    CondVar done_cv;
+    bool done REPRO_GUARDED_BY(done_mutex) = false;
+    std::exception_ptr error REPRO_GUARDED_BY(done_mutex);
   };
 
-  void worker_loop(std::size_t self);
-  bool try_run_one(std::size_t self);
-  bool pop_own(std::size_t self, std::function<void()>& out);
-  bool steal(std::size_t thief, std::function<void()>& out);
+  void worker_loop();
 
-  // queues_ and workers_ are sized in the constructor and never
-  // resized afterwards; only the elements behind Queue::mutex mutate.
-  std::vector<std::unique_ptr<Queue>> queues_ REPRO_CONST_AFTER_INIT;
+  Mutex mutex_;
+  CondVar work_cv_;
+  /// Posted parallel_for jobs, oldest first. A job leaves the list once
+  /// a participant finds it has no unclaimed index left.
+  std::deque<std::shared_ptr<Job>> jobs_ REPRO_GUARDED_BY(mutex_);
+  bool stopping_ REPRO_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
-
-  Mutex sleep_mutex_;
-  CondVar sleep_cv_;
-  /// Tasks submitted but not yet started.
-  std::size_t pending_ REPRO_GUARDED_BY(sleep_mutex_) = 0;
-  /// Round-robin cursor for external submitters.
-  std::size_t next_queue_ REPRO_GUARDED_BY(sleep_mutex_) = 0;
-  bool stopping_ REPRO_GUARDED_BY(sleep_mutex_) = false;
 };
 
 }  // namespace repro::common

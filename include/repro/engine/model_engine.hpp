@@ -9,10 +9,9 @@
 // prediction — and evaluates candidates serially.
 //
 // ModelEngine owns a registry of profiled processes, memoizes each
-// process's derived artifacts (the fill curve G⁻¹, its inverse
-// tabulation G, and the MPA curve) per registration, and exposes a
-// batch API that fans candidate co-schedules out across a small
-// work-stealing thread pool. Per-candidate results are bit-identical
+// process's derived artifact (the fill curve G⁻¹) per registration,
+// and exposes a batch API that fans candidate co-schedules out across
+// a small thread pool. Per-candidate results are bit-identical
 // to the direct single-threaded EquilibriumSolver + PowerModel
 // composition, independent of thread count — candidates are pure
 // functions of the registered profiles.
@@ -24,7 +23,7 @@
 // resolve a snapshot once and run entirely against it, so the read
 // path is wait-free — it never touches a lock, and a revision landing
 // mid-batch cannot tear or stall it. Writers (register_process,
-// try_apply, collect_garbage) serialize on a builder mutex, assemble
+// try_apply, restore) serialize on a builder mutex, assemble
 // the next snapshot off to the side, and publish it with a single
 // atomic pointer swap. Validation happens before any builder state is
 // touched: a rejected revision publishes nothing and the last-good
@@ -41,7 +40,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -211,8 +209,8 @@ class EngineSnapshot {
   /// snapshot, each successful mutation publishes epoch + 1.
   std::uint64_t epoch() const { return epoch_; }
 
-  /// Number of live (non-collected) registrations in this snapshot.
-  std::size_t process_count() const { return live_; }
+  /// Number of registered processes in this snapshot.
+  std::size_t process_count() const { return registry_.size(); }
 
   /// Handle of a registered process, if any.
   std::optional<ProcessHandle> find(const std::string& name) const {
@@ -222,8 +220,7 @@ class EngineSnapshot {
   }
 
   /// The registered profile behind a handle. The reference is valid
-  /// for the snapshot's lifetime. Throws on an unknown or collected
-  /// handle.
+  /// for the snapshot's lifetime. Throws on an unknown handle.
   const core::ProcessProfile& profile(ProcessHandle handle) const;
 
   bool has_power_model() const { return power_.has_value(); }
@@ -235,10 +232,11 @@ class EngineSnapshot {
   /// Number of successful power revisions up to this snapshot.
   std::uint64_t power_revision() const { return power_revision_; }
 
-  /// Handles of every live registration, ascending. Checkpoints
-  /// serialize profiles in this order, which makes the serialization a
-  /// pure function of the snapshot — the basis of the byte-identity
-  /// recovery proof (ISSUE 8).
+  /// Handles of every registration, ascending: 0..process_count()-1,
+  /// since handles are dense. Checkpoints serialize profiles in this
+  /// order, which makes the serialization a pure function of the
+  /// snapshot — the basis of the byte-identity recovery proof
+  /// (ISSUE 8).
   std::vector<ProcessHandle> live_handles() const;
 
  private:
@@ -260,16 +258,15 @@ class EngineSnapshot {
 
   const Entry& entry_of(ProcessHandle handle) const;
 
-  /// Slots are positional (handle == index); null = collected. Entries
-  /// are shared with the builder and with neighbouring snapshots —
-  /// only replaced registrations get a fresh Entry (and with it a
-  /// fresh once_flag, which is what invalidates the memoized curves).
+  /// Slots are positional (handle == index). Entries are shared with
+  /// the builder and with neighbouring snapshots — only replaced
+  /// registrations get a fresh Entry (and with it a fresh once_flag,
+  /// which is what invalidates the memoized curves).
   std::vector<std::shared_ptr<const Entry>> registry_;
   std::unordered_map<std::string, ProcessHandle> by_name_;
   std::optional<core::PowerModel> power_;
   std::uint64_t power_revision_ = 0;
   std::uint64_t epoch_ = 0;
-  std::size_t live_ = 0;
 };
 
 class ModelEngine {
@@ -311,20 +308,6 @@ class ModelEngine {
   /// Number of successful power revisions since construction.
   std::uint64_t power_revision() const;
 
-  /// Drop every registered process whose handle fails keep(handle),
-  /// freeing its profile and memoized fill-curve artifacts, and return
-  /// how many entries were collected. Kept handles stay valid (slots
-  /// are nulled, never shifted) and their artifacts are untouched; a
-  /// collected handle's slot is recycled by a later register_process of
-  /// a *new* name. The on-line pipeline's GC for handles that are no
-  /// longer monitored by any pipeline or referenced by a live query.
-  /// Snapshots taken before the collection keep their entries alive
-  /// until released. The predicate runs under the builder lock; it may
-  /// read the engine's snapshot accessors (they are lock-free) but
-  /// must not mutate the engine.
-  std::size_t collect_garbage(
-      const std::function<bool(ProcessHandle)>& keep);
-
   /// Rebuild a freshly-constructed engine from checkpointed state
   /// (ISSUE 8): install `profiles` under dense handles 0..n-1 in
   /// order, replace the power model if the checkpoint carried one (the
@@ -351,7 +334,7 @@ class ModelEngine {
   /// snapshot).
   core::ProcessProfile profile(ProcessHandle handle) const;
 
-  /// Number of live (non-collected) registrations.
+  /// Number of registered processes.
   std::size_t process_count() const;
 
   /// Predict one candidate co-schedule against the current snapshot.
@@ -421,8 +404,8 @@ class ModelEngine {
   std::unique_ptr<common::ThreadPool> pool_ REPRO_CONST_AFTER_INIT;
 
   /// Builder-side lock: serializes writers (registration, try_apply,
-  /// GC) over the mutable copy of the registry that the next snapshot
-  /// is assembled from. Readers never take it — they go through the
+  /// restore) over the mutable copy of the registry that the next
+  /// snapshot is assembled from. Readers never take it — they go through the
   /// published snapshot — so a GUARDED_BY proof below is a statement
   /// about the *builder*, not about the read path.
   mutable common::Mutex builder_mutex_;
@@ -430,7 +413,6 @@ class ModelEngine {
       REPRO_GUARDED_BY(builder_mutex_);
   std::unordered_map<std::string, ProcessHandle> by_name_
       REPRO_GUARDED_BY(builder_mutex_);
-  std::vector<ProcessHandle> free_slots_ REPRO_GUARDED_BY(builder_mutex_);
   std::optional<core::PowerModel> power_ REPRO_GUARDED_BY(builder_mutex_);
   std::uint64_t power_revision_ REPRO_GUARDED_BY(builder_mutex_) = 0;
   std::uint64_t epoch_ REPRO_GUARDED_BY(builder_mutex_) = 0;

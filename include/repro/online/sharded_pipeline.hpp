@@ -76,10 +76,6 @@ enum class Backpressure {
   /// Wait until the shard worker frees a slot: no window is ever
   /// lost, but a stalled worker back-propagates into the producer.
   kBlock,
-  /// Drop the incoming window and count it in
-  /// PipelineHealth::windows_dropped: the producer never waits, at
-  /// the cost of holes in the observed stream under overload.
-  kDrop,
 };
 
 /// Fault-path observability: everything the hardened pipeline dropped,
@@ -90,7 +86,7 @@ struct PipelineHealth {
   std::uint64_t windows_forwarded = 0;    // passed sanitization
   std::uint64_t windows_repaired = 0;     // forwarded after a wrap repair
   std::uint64_t windows_quarantined = 0;  // withheld from the stream
-  std::uint64_t windows_dropped = 0;      // lost to kDrop or a failed shard
+  std::uint64_t windows_dropped = 0;      // lost to a failed shard
   std::uint64_t revisions_rejected = 0;   // failed validation/quality gate
   std::uint64_t degraded_resolves = 0;    // re-solves served last-good
   std::uint64_t history_evicted = 0;      // PipelineEvents aged out
@@ -464,8 +460,8 @@ class ShardedPipeline : private BatchSink {
   /// the vector itself is fixed at construction.
   std::vector<std::unique_ptr<Ingress>> ingress_ REPRO_CONST_AFTER_INIT;
   std::atomic<bool> stop_{false};
-  /// Windows push() refused (kDrop on a full ring, or a failed shard).
-  /// A failed shard's unread ring backlog is added in stats_locked.
+  /// Windows push() refused because their shard had failed. A failed
+  /// shard's unread ring backlog is added in stats_locked.
   std::atomic<std::uint64_t> dropped_{0};
 };
 

@@ -1,6 +1,7 @@
 #include "repro/engine/model_engine.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "repro/common/ensure.hpp"
@@ -21,16 +22,13 @@ const core::PowerModel& EngineSnapshot::power_model() const {
 
 const EngineSnapshot::Entry& EngineSnapshot::entry_of(
     ProcessHandle handle) const {
-  REPRO_ENSURE(handle < registry_.size() && registry_[handle] != nullptr,
-               "unknown or collected process handle");
+  REPRO_ENSURE(handle < registry_.size(), "unknown process handle");
   return *registry_[handle];
 }
 
 std::vector<ProcessHandle> EngineSnapshot::live_handles() const {
-  std::vector<ProcessHandle> handles;
-  handles.reserve(live_);
-  for (ProcessHandle h = 0; h < registry_.size(); ++h)
-    if (registry_[h] != nullptr) handles.push_back(h);
+  std::vector<ProcessHandle> handles(registry_.size());
+  std::iota(handles.begin(), handles.end(), ProcessHandle{0});
   return handles;
 }
 
@@ -71,8 +69,6 @@ void ModelEngine::publish() {
   snap->power_ = power_;
   snap->power_revision_ = power_revision_;
   snap->epoch_ = ++epoch_;
-  for (const auto& entry : snap->registry_)
-    if (entry != nullptr) ++snap->live_;
   published_.store(std::move(snap), std::memory_order_release);
 }
 
@@ -107,25 +103,15 @@ ProcessHandle ModelEngine::register_process(core::ProcessProfile profile) {
     publish();
     return it->second;
   }
-  ProcessHandle handle;
-  if (!free_slots_.empty()) {
-    // Recycle a collected slot so long-lived engines with process
-    // churn keep a dense registry instead of growing without bound.
-    handle = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    handle = static_cast<ProcessHandle>(registry_.size());
-    registry_.emplace_back();
-  }
+  const auto handle = static_cast<ProcessHandle>(registry_.size());
   by_name_.emplace(profile.name, handle);
-  registry_[handle] = std::make_shared<Entry>(std::move(profile));
+  registry_.push_back(std::make_shared<Entry>(std::move(profile)));
   publish();
   return handle;
 }
 
 void ModelEngine::install(ProcessHandle handle, core::ProcessProfile profile) {
-  REPRO_ENSURE(handle < registry_.size() && registry_[handle] != nullptr,
-               "unknown process handle");
+  REPRO_ENSURE(handle < registry_.size(), "unknown process handle");
   const std::string old_name = registry_[handle]->profile.name;
   if (profile.name != old_name) {
     const auto it = by_name_.find(profile.name);
@@ -253,27 +239,6 @@ void ModelEngine::restore(std::vector<core::ProcessProfile> profiles,
   // counter never moves backwards across a crash.
   if (epoch > 0 && epoch - 1 > epoch_) epoch_ = epoch - 1;
   publish();
-}
-
-std::size_t ModelEngine::collect_garbage(
-    const std::function<bool(ProcessHandle)>& keep) {
-  REPRO_ENSURE(static_cast<bool>(keep), "empty keep predicate");
-  common::MutexLock lock(builder_mutex_);
-  std::size_t collected = 0;
-  for (ProcessHandle h = 0; h < registry_.size(); ++h) {
-    if (registry_[h] == nullptr) continue;  // already collected
-    if (keep(h)) continue;
-    by_name_.erase(registry_[h]->profile.name);
-    // Dropping the builder's reference; profiles and memoized
-    // artifacts free once the last snapshot holding them is released.
-    registry_[h].reset();
-    free_slots_.push_back(h);
-    // relaxed: monitoring counter; no reader orders state off it.
-    cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
-    ++collected;
-  }
-  if (collected > 0) publish();
-  return collected;
 }
 
 std::optional<ProcessHandle> ModelEngine::find(const std::string& name) const {

@@ -213,13 +213,6 @@ void ShardedPipeline::enqueue(DieId lane, const sim::Sample& sample) {
   const std::size_t ring = lane_ring_[lane];
   sim::Sample window = sample;
   if (!in.rings->try_push(ring, window)) {
-    if (options_.backpressure == Backpressure::kDrop) {
-      // Count-and-drop: the producer never waits; the hole is
-      // surfaced through PipelineHealth::windows_dropped.
-      // relaxed: statistics counter; orders nothing.
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
     // kBlock: register as a drain waiter, fence, then re-try — the
     // worker's symmetric fence-then-check after each pop guarantees
     // that either our retry sees the freed slot or the worker sees
@@ -875,8 +868,8 @@ PipelineStats ShardedPipeline::stats_locked() const {
   PipelineStats s;
   // `windows` counts raw ingested windows whether or not they survived
   // sanitization, so it stays monotonic and comparable across modes.
-  // In ring mode it counts *ingested* windows: ones dropped by kDrop
-  // backpressure never entered the chain and show up only in
+  // In ring mode it counts *ingested* windows: ones refused by a failed
+  // shard never entered the chain and show up only in
   // health.windows_dropped.
   s.windows = windows_seen_;
   s.revisions = revisions_;

@@ -265,17 +265,6 @@ TEST(ModelEngine, RestoreRefusesNonFreshEngineUntouched) {
   EXPECT_EQ(no_power.process_count(), 0u);
 }
 
-TEST(ModelEngine, LiveHandlesAreDenseInHandleOrderAndSkipCollected) {
-  ModelEngine eng(sim::four_core_server());
-  const auto profiles = suite();
-  for (std::size_t i = 0; i < 3; ++i) eng.register_process(profiles[i]);
-  EXPECT_EQ(eng.snapshot()->live_handles(),
-            (std::vector<ProcessHandle>{0, 1, 2}));
-  eng.collect_garbage([](ProcessHandle h) { return h != 1; });
-  EXPECT_EQ(eng.snapshot()->live_handles(),
-            (std::vector<ProcessHandle>{0, 2}));
-}
-
 TEST(ModelEngine, MatchesDirectCompositionBitForBit) {
   const sim::MachineConfig machine = sim::four_core_server();
   const core::PowerModel power = model();
@@ -673,87 +662,6 @@ TEST(ModelEngine, CacheStatsCountHitsAndMisses) {
   EXPECT_EQ(second.misses, 4u);  // nothing rebuilt
   EXPECT_EQ(second.hits, 32u);
   EXPECT_GT(second.hit_rate(), 0.8);
-}
-
-TEST(ModelEngine, CollectGarbageDropsOnlyUnkeptHandles) {
-  const sim::MachineConfig machine = sim::four_core_server();
-  const auto profiles = suite();
-  ModelEngine eng(machine, model());
-  std::vector<ProcessHandle> handles;
-  for (const auto& p : profiles) handles.push_back(eng.register_process(p));
-
-  // Keep the odd handles; the even ones are no longer monitored.
-  const std::size_t collected =
-      eng.collect_garbage([](ProcessHandle h) { return h % 2 == 1; });
-  EXPECT_EQ(collected, 3u);
-  EXPECT_EQ(eng.process_count(), 2u);
-  EXPECT_THROW(eng.profile(handles[0]), Error);
-  EXPECT_THROW(eng.profile(handles[2]), Error);
-  EXPECT_EQ(eng.find("worker"), std::nullopt);
-  EXPECT_EQ(eng.find("streamer"), std::nullopt);
-
-  // Survivors keep their handles, names, and profiles untouched.
-  EXPECT_EQ(eng.profile(handles[1]).name, "sprinter");
-  EXPECT_EQ(eng.profile(handles[3]).name, "midfield");
-  EXPECT_EQ(eng.find("sprinter"), std::optional<ProcessHandle>(handles[1]));
-
-  // Collected slots are recycled by later registrations, and a query
-  // over the survivors matches a fresh engine bit for bit.
-  const ProcessHandle reborn = eng.register_process(profiles[4]);
-  EXPECT_LT(reborn, handles.size()) << "freed slot was not recycled";
-  EXPECT_NE(reborn, handles[1]);
-  EXPECT_NE(reborn, handles[3]);
-
-  CoScheduleQuery q;
-  q.assignment = core::Assignment::empty(machine.cores);
-  q.assignment.per_core[0].push_back(handles[1]);
-  q.assignment.per_core[1].push_back(handles[3]);
-  const SystemPrediction pred = eng.predict(q);
-  ModelEngine fresh(machine, model());
-  fresh.register_process(profiles[1]);  // handle 0
-  fresh.register_process(profiles[3]);  // handle 1
-  CoScheduleQuery fq;
-  fq.assignment = core::Assignment::empty(machine.cores);
-  fq.assignment.per_core[0].push_back(0);
-  fq.assignment.per_core[1].push_back(1);
-  const SystemPrediction fresh_pred = fresh.predict(fq);
-  ASSERT_EQ(pred.processes.size(), fresh_pred.processes.size());
-  for (std::size_t i = 0; i < pred.processes.size(); ++i) {
-    EXPECT_EQ(pred.processes[i].prediction.spi,
-              fresh_pred.processes[i].prediction.spi);
-    EXPECT_EQ(pred.processes[i].dynamic_power,
-              fresh_pred.processes[i].dynamic_power);
-  }
-}
-
-TEST(ModelEngine, CollectGarbageKeepsSurvivorsMemoizedArtifacts) {
-  const sim::MachineConfig machine = sim::four_core_server();
-  const auto profiles = suite();
-  EngineOptions options;
-  options.threads = 1;  // deterministic counter accounting
-  ModelEngine eng(machine, model(), options);
-  for (const auto& p : profiles) eng.register_process(p);
-
-  CoScheduleQuery q;
-  q.assignment = core::Assignment::empty(machine.cores);
-  q.assignment.per_core[0].push_back(1);
-  q.assignment.per_core[1].push_back(3);
-  eng.predict(q);  // builds the two survivors' fill curves
-  const auto before = eng.cache_stats();
-  EXPECT_EQ(before.misses, 2u);
-
-  eng.collect_garbage([](ProcessHandle h) { return h == 1 || h == 3; });
-  eng.predict(q);
-  const auto after = eng.cache_stats();
-  EXPECT_EQ(after.misses, before.misses)
-      << "GC rebuilt a survivor's memoized artifacts";
-  EXPECT_GT(after.hits, before.hits);
-
-  // Collecting everything empties the registry; an empty keep-set is
-  // legal and predictions over collected handles now fail loudly.
-  EXPECT_EQ(eng.collect_garbage([](ProcessHandle) { return false; }), 2u);
-  EXPECT_EQ(eng.process_count(), 0u);
-  EXPECT_THROW(eng.predict(q), Error);
 }
 
 TEST(ModelEngine, PredictBatchPropagatesWorkerExceptions) {
