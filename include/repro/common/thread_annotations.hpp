@@ -8,7 +8,9 @@
 // PR — that each GUARDED_BY member is only touched with its capability
 // held, that REQUIRES contracts hold at every call site, and that
 // scoped locks release on all paths. GCC and other compilers see empty
-// macros and compile the same code unchanged.
+// macros and compile the same code unchanged. Lock *order* is not an
+// annotation: each common::Mutex carries a LockRank that is checked at
+// run time on every acquisition (repro/common/mutex.hpp).
 //
 // Naming follows the Clang documentation's canonical macro set
 // (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html), prefixed
@@ -34,39 +36,18 @@
 /// Pointer member whose *pointee* is protected by the capability.
 #define REPRO_PT_GUARDED_BY(x) REPRO_THREAD_ANNOTATION_(pt_guarded_by(x))
 
-/// Lock-ordering declarations (deadlock prevention).
-#define REPRO_ACQUIRED_BEFORE(...) \
-  REPRO_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-#define REPRO_ACQUIRED_AFTER(...) \
-  REPRO_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
-
-/// The function must be called with the capability held (exclusively /
-/// shared) and does not release it.
+/// The function must be called with the capability held and does not
+/// release it.
 #define REPRO_REQUIRES(...) \
   REPRO_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define REPRO_REQUIRES_SHARED(...) \
-  REPRO_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 
-/// The function acquires the capability (exclusively / shared).
+/// The function acquires the capability.
 #define REPRO_ACQUIRE(...) \
   REPRO_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define REPRO_ACQUIRE_SHARED(...) \
-  REPRO_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 
-/// The function releases the capability. RELEASE covers a previously
-/// exclusive hold, RELEASE_SHARED a shared one, RELEASE_GENERIC either.
+/// The function releases the capability.
 #define REPRO_RELEASE(...) \
   REPRO_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define REPRO_RELEASE_SHARED(...) \
-  REPRO_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-#define REPRO_RELEASE_GENERIC(...) \
-  REPRO_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
-
-/// The function acquires the capability iff it returns `ret`.
-#define REPRO_TRY_ACQUIRE(...) \
-  REPRO_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-#define REPRO_TRY_ACQUIRE_SHARED(...) \
-  REPRO_THREAD_ANNOTATION_(try_acquire_shared_capability(__VA_ARGS__))
 
 /// The function must NOT be called with the capability held (guards
 /// against self-deadlock on non-reentrant locks).
@@ -77,8 +58,6 @@
 /// informs the analysis without acquiring anything.
 #define REPRO_ASSERT_CAPABILITY(x) \
   REPRO_THREAD_ANNOTATION_(assert_capability(x))
-#define REPRO_ASSERT_SHARED_CAPABILITY(x) \
-  REPRO_THREAD_ANNOTATION_(assert_shared_capability(x))
 
 /// The function returns a reference to the given capability.
 #define REPRO_RETURN_CAPABILITY(x) REPRO_THREAD_ANNOTATION_(lock_returned(x))

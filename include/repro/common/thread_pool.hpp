@@ -21,8 +21,9 @@
 // Concurrency invariants are declared with clang thread-safety
 // annotations (see repro/common/thread_annotations.hpp): the posted-job
 // list and stopping_ are guarded by mutex_, each job's completion state
-// by its own done_mutex. The two are never held together, so there is
-// no lock order between them to maintain.
+// by its own done_mutex. The two are never held together; both rank
+// last (LockRank::kPool, kPoolJob) because a parallel_for caller may
+// already hold any other lock.
 #pragma once
 
 #include <atomic>
@@ -85,7 +86,7 @@ class ThreadPool {
     // index takes no lock: with microsecond bodies a per-index lock
     // convoys behind whichever thread was preempted holding it.
     std::atomic<std::size_t> completed{0};
-    Mutex done_mutex;
+    Mutex done_mutex{LockRank::kPoolJob};
     CondVar done_cv;
     bool done REPRO_GUARDED_BY(done_mutex) = false;
     std::exception_ptr error REPRO_GUARDED_BY(done_mutex);
@@ -93,7 +94,7 @@ class ThreadPool {
 
   void worker_loop();
 
-  Mutex mutex_;
+  Mutex mutex_{LockRank::kPool};
   CondVar work_cv_;
   /// Posted parallel_for jobs, oldest first. A job leaves the list once
   /// a participant finds it has no unclaimed index left.

@@ -408,7 +408,7 @@ class ModelEngine {
   /// snapshot is assembled from. Readers never take it — they go through the
   /// published snapshot — so a GUARDED_BY proof below is a statement
   /// about the *builder*, not about the read path.
-  mutable common::Mutex builder_mutex_;
+  mutable common::Mutex builder_mutex_{common::LockRank::kEngineBuilder};
   std::vector<std::shared_ptr<const Entry>> registry_
       REPRO_GUARDED_BY(builder_mutex_);
   std::unordered_map<std::string, ProcessHandle> by_name_

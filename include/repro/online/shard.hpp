@@ -176,7 +176,7 @@ class PipelineShard {
   /// The shard's own lock — first in the shard → coordinator → engine
   /// order. Guards every die's streaming state and the forensics ring;
   /// held across deliver() so batches leave in ingest order.
-  mutable common::Mutex mutex_;
+  mutable common::Mutex mutex_{common::LockRank::kShard};
   std::map<DieId, DieState> dies_ REPRO_GUARDED_BY(mutex_);
   std::deque<QuarantineRecord> quarantine_ REPRO_GUARDED_BY(mutex_);
   /// Batch under construction, visible to the stream sinks while

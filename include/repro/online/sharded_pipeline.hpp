@@ -35,7 +35,7 @@
 // the merge and process immediately; their per-window effects (the
 // sanitizer quarantines them) don't depend on merge order.
 //
-// Lock order (see DESIGN 5.7): shard mutex → coordinator mutex_ →
+// Lock order (DESIGN 5.7, checked by LockRank): shard → coordinator →
 // engine builder lock. deliver() runs with the calling shard's mutex
 // held and takes mutex_; the coordinator never calls into a shard
 // while holding mutex_ (monitor/finish/quarantined talk to shards
@@ -312,7 +312,7 @@ class ShardedPipeline : private BatchSink {
     std::atomic<std::uint64_t> drain_waiters{0};
     std::atomic<std::uint64_t> enqueued{0};
     std::atomic<std::uint64_t> drained{0};
-    mutable common::Mutex ring_mutex;
+    mutable common::Mutex ring_mutex{common::LockRank::kIngressRing};
     common::CondVar ring_cv;   // worker parks here (rings empty)
     common::CondVar drain_cv;  // kBlock producer / drain waiters park here
 
@@ -389,9 +389,9 @@ class ShardedPipeline : private BatchSink {
   /// query/prediction state, and (transitively, via the lock order)
   /// all engine mutation: try_apply is only ever called with mutex_
   /// held, which is what serializes revisions from concurrent shards.
-  /// Ordering (tools/lock_order.txt): the coordinator lock is taken
-  /// before the journal lock, never the other way around.
-  mutable common::Mutex mutex_ REPRO_ACQUIRED_BEFORE(journal_mutex_);
+  /// Its rank puts it after every shard lock and before the engine
+  /// builder, journal and ring locks it reaches while applying.
+  mutable common::Mutex mutex_{common::LockRank::kCoordinator};
   std::vector<std::unique_ptr<Slot>> slots_ REPRO_GUARDED_BY(mutex_);
   std::optional<engine::CoScheduleQuery> query_ REPRO_GUARDED_BY(mutex_);
   std::optional<engine::SystemPrediction> latest_ REPRO_GUARDED_BY(mutex_);
@@ -450,7 +450,7 @@ class ShardedPipeline : private BatchSink {
   // Set in the constructor, then immutable.
   bool journal_async_ REPRO_CONST_AFTER_INIT = false;
   std::thread journal_thread_;
-  mutable common::Mutex journal_mutex_ REPRO_ACQUIRED_AFTER(mutex_);
+  mutable common::Mutex journal_mutex_{common::LockRank::kJournal};
   common::CondVar journal_cv_;
   std::deque<JournalRecord> journal_queue_ REPRO_GUARDED_BY(journal_mutex_);
   bool journal_busy_ REPRO_GUARDED_BY(journal_mutex_) = false;

@@ -46,25 +46,19 @@
 //                          adjacent "// relaxed: ..." comment (same
 //                          line or the comment block directly above)
 //                          saying why relaxed is sufficient
-//   lock/order             (needs --manifest tools/lock_order.txt) the
-//                          acquired-while-holding graph extracted from
-//                          scoped MutexLock/ExclusiveLock/SharedLock
-//                          nesting, REPRO_REQUIRES call edges, and
-//                          one-level same-file call propagation must
-//                          agree with the checked-in partial order:
-//                          no contradicting edge, no cycle, no mutex
-//                          missing from the manifest. Soundness limit:
-//                          same-TU nesting only (DESIGN 5.9).
+//
+// Lock order is not a lint rule: every common::Mutex is constructed
+// with a LockRank, and Mutex::lock() aborts on any acquisition that is
+// not strictly above the ranks the thread already holds (DESIGN 5.9).
 //
 // Modes beyond the scan:
 //   --coverage             annotation-coverage ratchet: counts mutable
 //                          fields of concurrent classes (any class
-//                          declaring a Mutex/SharedMutex member) that
-//                          lack REPRO_GUARDED_BY / REPRO_PT_GUARDED_BY /
-//                          REPRO_CONST_AFTER_INIT / REPRO_THREAD_CONFINED,
-//                          plus mutexes absent from the lock-order
-//                          manifest, and compares against a checked-in
-//                          baseline CI only lets decrease.
+//                          declaring a Mutex member) that lack
+//                          REPRO_GUARDED_BY / REPRO_PT_GUARDED_BY /
+//                          REPRO_CONST_AFTER_INIT / REPRO_THREAD_CONFINED
+//                          and compares against a checked-in baseline CI
+//                          only lets decrease.
 //
 // Output is machine-readable, one finding per line:
 //   <file>:<line>: <rule-id>: <message>
@@ -78,9 +72,8 @@
 //
 // Usage:
 //   repro_lint --root <repo> [--supp <file>] [--compiler <cc>]
-//              [--no-compile] [--manifest <lock_order.txt>]
-//              [--format=text|json]
-//   repro_lint --root <repo> --coverage --manifest <lock_order.txt>
+//              [--no-compile] [--format=text|json]
+//   repro_lint --root <repo> --coverage
 //              [--baseline <coverage_baseline.txt>] [--format=...]
 //   repro_lint --self-test   # red-then-green for every rule: seeded
 //                            # violations detected, clean twins quiet
@@ -89,10 +82,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -120,7 +111,6 @@ struct Suppression {
 struct Options {
   fs::path root = ".";
   fs::path supp;
-  fs::path manifest;
   fs::path baseline;
   std::string compiler = "g++";
   bool compile_headers = true;
@@ -768,75 +758,30 @@ void scan_file(const fs::path& path, const std::string& rel,
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency model (ISSUE 9): a whole-tree scan over src/ + include/
-// that discovers mutex declarations, function bodies, scoped lock
-// acquisitions, and REPRO_REQUIRES annotations — the raw material for
-// the lock/order pass and the --coverage ratchet. This is a textual
-// scanner, not a parser: it understands braces, class/namespace
-// scopes, and the repo's own idioms (common::Mutex members, scoped
-// MutexLock/ExclusiveLock/SharedLock RAII, annotations trailing the
-// declaration). Soundness limits are documented in DESIGN 5.9.
+// Concurrency model: a whole-tree scan over src/ + include/ that finds
+// the classes declaring a common::Mutex member, the raw material for
+// the --coverage ratchet. This is a textual scanner, not a parser: it
+// understands braces, class/namespace scopes, and the repo's own idiom
+// of common::Mutex members. Lock order is not modeled here; every
+// Mutex carries a LockRank checked at run time (repro/common/mutex.hpp).
 // ---------------------------------------------------------------------------
-
-struct MutexDecl {
-  std::string qual;    // class-qualified, namespaces stripped: "Cls::member"
-  std::string member;  // trailing member name
-  std::string cls;     // enclosing class path ("ShardedPipeline::Ingress")
-  std::string file;
-  std::size_t line = 0;
-  // Raw REPRO_ACQUIRED_BEFORE/AFTER argument lists on the declaration,
-  // resolved against the manifest later.
-  std::vector<std::string> before_raw;
-  std::vector<std::string> after_raw;
-};
-
-struct FuncDef {
-  std::string name;  // last component
-  std::string key2;  // innermost-class-qualified: "Cls::name" or "name"
-  std::string file;
-  std::size_t line = 0;
-  std::size_t body_open = 0;   // offset of '{' in code
-  std::size_t body_close = 0;  // offset of matching '}'
-  std::vector<std::string> class_ctx;  // enclosing class names, inner last
-};
-
-struct Acquisition {
-  std::string arg;  // lock constructor argument, verbatim (blanked text)
-  std::string file;
-  std::size_t pos = 0;        // offset of the lock keyword
-  std::size_t line = 0;
-  std::size_t scope_end = 0;  // close of the innermost enclosing scope
-  int func = -1;              // index into FileModel::funcs, -1 = none
-};
 
 struct ClassRegion {
   std::string qual;  // class path, namespaces stripped
   std::string file;
   std::size_t open = 0;   // offset of '{'
   std::size_t close = 0;  // offset of matching '}'
-  std::size_t line = 0;
-};
-
-struct RequiresEntry {
-  std::string arg;                     // one REPRO_REQUIRES argument
-  std::vector<std::string> class_ctx;  // where the annotation appeared
 };
 
 struct FileModel {
   std::string rel;
   std::string code;  // blanked
-  std::vector<FuncDef> funcs;
-  std::vector<Acquisition> acqs;
 };
 
 struct ConcurrencyModel {
-  std::vector<MutexDecl> mutexes;
   std::vector<FileModel> files;
-  // key2 ("Cls::name" / "name") -> REQUIRES arguments from any file
-  // (headers carry the annotation; out-of-line definitions may repeat
-  // it — duplicates are harmless because edges are deduplicated).
-  std::map<std::string, std::vector<RequiresEntry>> requires_map;
   std::vector<ClassRegion> classes;
+  std::set<std::string> concurrent;  // class quals with a mutex member
 };
 
 /// Matching ')'→'(' (or '}'→'{') scanning left on blanked text.
@@ -852,135 +797,6 @@ std::size_t match_open(const std::string& code, std::size_t close_pos,
   return std::string::npos;
 }
 
-bool is_control_word(const std::string& w) {
-  static const std::set<std::string> kControl = {
-      "if",     "while",  "for",    "switch", "catch",  "return",
-      "do",     "else",   "new",    "delete", "sizeof", "alignof",
-      "alignas", "decltype", "static_assert", "assert", "defined"};
-  return kControl.count(w) != 0;
-}
-
-/// Given '{' at `brace` (blanked text), decide whether it opens a
-/// function body, and if so return the (possibly Cls::-qualified)
-/// function name. Walks left over noexcept/REPRO_* qualifier groups
-/// and constructor member-init lists. Lambdas return nullopt (their
-/// bodies become plain block scopes attributed to the enclosing
-/// function — REQUIRES on lambdas is not modeled; DESIGN 5.9).
-std::optional<std::string> match_function_def(const std::string& code,
-                                              std::size_t brace) {
-  std::size_t j = brace;
-  for (int guard = 0; guard < 64; ++guard) {
-    while (j > 0 && is_space(code[j - 1])) --j;
-    if (j == 0) return std::nullopt;
-    const char c = code[j - 1];
-    if (is_ident_char(c)) {
-      // Trailing qualifier words on a definition: "...) const {",
-      // "...) noexcept override {". Anything else identifier-like
-      // (a brace initializer "x_{0}", "try", "do") is not a function.
-      std::size_t k = j;
-      while (k > 0 && is_ident_char(code[k - 1])) --k;
-      const std::string w = code.substr(k, j - k);
-      if (w == "const" || w == "noexcept" || w == "override" ||
-          w == "final") {
-        j = k;
-        continue;
-      }
-      return std::nullopt;
-    }
-    if (c != ')' && c != '}') return std::nullopt;
-    const std::size_t open = c == ')' ? match_open(code, j - 1, '(', ')')
-                                      : match_open(code, j - 1, '{', '}');
-    if (open == std::string::npos) return std::nullopt;
-    std::size_t k = open;
-    while (k > 0 && is_space(code[k - 1])) --k;
-    const std::size_t word_end = k;
-    while (k > 0 && is_ident_char(code[k - 1])) --k;
-    std::string w = code.substr(k, word_end - k);
-    if (w.empty()) return std::nullopt;  // lambda / cast / expression
-    if (c == ')' && (w == "noexcept" || starts_with(w, "REPRO_"))) {
-      j = k;  // qualifier group between the params and the body
-      continue;
-    }
-    if (is_control_word(w)) return std::nullopt;
-    // Candidate name; extend left over ~ and :: qualifications.
-    std::size_t nstart = k;
-    if (nstart > 0 && code[nstart - 1] == '~') --nstart;
-    while (nstart >= 2 && code[nstart - 1] == ':' &&
-           code[nstart - 2] == ':') {
-      std::size_t m = nstart - 2;
-      const std::size_t me = m;
-      while (m > 0 && is_ident_char(code[m - 1])) --m;
-      if (m == me) break;  // leading ::name
-      nstart = m;
-      if (nstart > 0 && code[nstart - 1] == '~') --nstart;
-    }
-    std::string qual = code.substr(nstart, word_end - nstart);
-    // A ',' or lone ':' before the name means this was a member-init
-    // group (x_(v) / x_{v}); keep walking left to the real signature.
-    std::size_t p = nstart;
-    while (p > 0 && is_space(code[p - 1])) --p;
-    if (p > 0 && code[p - 1] == ',') {
-      j = p - 1;
-      continue;
-    }
-    if (p > 0 && code[p - 1] == ':' && (p < 2 || code[p - 2] != ':')) {
-      j = p - 1;
-      continue;
-    }
-    if (c == '}') return std::nullopt;  // name{...} not in an init list
-    if (p > 0 && (code[p - 1] == '.' ||
-                  (p >= 2 && code[p - 2] == '-' && code[p - 1] == '>')))
-      return std::nullopt;
-    return qual;
-  }
-  return std::nullopt;
-}
-
-std::vector<std::string> split_args(const std::string& args) {
-  std::vector<std::string> out;
-  int depth = 0;
-  std::string cur;
-  for (const char c : args) {
-    if (c == '(' || c == '<' || c == '[') ++depth;
-    if (c == ')' || c == '>' || c == ']') --depth;
-    if (c == ',' && depth == 0) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(cur);
-  for (std::string& a : out) {
-    while (!a.empty() && is_space(a.front())) a.erase(a.begin());
-    while (!a.empty() && is_space(a.back())) a.pop_back();
-  }
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [](const std::string& a) { return a.empty(); }),
-            out.end());
-  return out;
-}
-
-/// Balanced-paren argument text right after `pos` (which points just
-/// past a macro/function name); returns nullopt if no '(' follows.
-std::optional<std::string> paren_args_at(const std::string& code,
-                                         std::size_t pos,
-                                         std::size_t* close_out = nullptr) {
-  std::size_t i = pos;
-  while (i < code.size() && is_space(code[i])) ++i;
-  if (i >= code.size() || code[i] != '(') return std::nullopt;
-  int depth = 0;
-  for (std::size_t j = i; j < code.size(); ++j) {
-    if (code[j] == '(')
-      ++depth;
-    else if (code[j] == ')' && --depth == 0) {
-      if (close_out) *close_out = j;
-      return code.substr(i + 1, j - i - 1);
-    }
-  }
-  return std::nullopt;
-}
-
 std::string join_path(const std::vector<std::string>& parts) {
   std::string out;
   for (const std::string& p : parts) {
@@ -991,12 +807,11 @@ std::string join_path(const std::vector<std::string>& parts) {
   return out;
 }
 
-/// One file's contribution to the concurrency model. `rel` is used in
-/// findings; `code` must be blanked.
+/// One file's contribution to the concurrency model. `code` must be
+/// blanked.
 void scan_model_file(const std::string& rel, const std::string& code,
                      ConcurrencyModel& model) {
-  model.files.push_back({rel, code, {}, {}});
-  FileModel& fm = model.files.back();
+  model.files.push_back({rel, code});
 
   // Forward brace matching.
   std::vector<std::size_t> close_of(code.size(), std::string::npos);
@@ -1012,10 +827,9 @@ void scan_model_file(const std::string& rel, const std::string& code,
   }
 
   struct Scope {
-    char kind;  // 'n'amespace, 'c'lass, 'f'unction, 'b'lock
+    char kind;  // 'n'amespace, 'c'lass, 'b'lock (functions included)
     std::string name;
     std::size_t close = 0;
-    int func = -1;  // for 'f': index into fm.funcs
   };
   std::vector<Scope> scopes;
   bool pending_class = false, pending_ns = false, pending_enum = false;
@@ -1027,15 +841,7 @@ void scan_model_file(const std::string& rel, const std::string& code,
     std::vector<std::string> parts;
     for (const Scope& s : scopes)
       if (s.kind == 'c') parts.push_back(s.name);
-    return parts;
-  };
-  auto current_func = [&]() -> int {
-    for (std::size_t i = scopes.size(); i-- > 0;)
-      if (scopes[i].kind == 'f') return scopes[i].func;
-    return -1;
-  };
-  auto innermost_scope_end = [&](std::size_t fallback) -> std::size_t {
-    return scopes.empty() ? fallback : scopes.back().close;
+    return join_path(parts);
   };
 
   for (std::size_t i = 0; i < code.size(); ++i) {
@@ -1053,39 +859,12 @@ void scan_model_file(const std::string& rel, const std::string& code,
       const std::size_t close =
           close_of[i] == std::string::npos ? code.size() : close_of[i];
       if (pending_ns) {
-        scopes.push_back({'n', pending_name, close, -1});
+        scopes.push_back({'n', pending_name, close});
       } else if (pending_class) {
-        scopes.push_back({'c', pending_name, close, -1});
-        std::vector<std::string> path = class_path();
-        model.classes.push_back({join_path(path), rel, i, close,
-                                 line_of(code, i)});
-      } else if (pending_enum) {
-        scopes.push_back({'b', "", close, -1});
-      } else if (auto qual = match_function_def(code, i)) {
-        // Split "A::B::f" into class components + name.
-        std::vector<std::string> comps;
-        std::size_t start = 0, sep;
-        while ((sep = qual->find("::", start)) != std::string::npos) {
-          comps.push_back(qual->substr(start, sep - start));
-          start = sep + 2;
-        }
-        comps.push_back(qual->substr(start));
-        std::vector<std::string> ctx = class_path();
-        for (std::size_t k = 0; k + 1 < comps.size(); ++k)
-          ctx.push_back(comps[k]);
-        FuncDef f;
-        f.name = comps.back();
-        f.key2 = ctx.empty() ? f.name : ctx.back() + "::" + f.name;
-        f.file = rel;
-        f.line = line_of(code, i);
-        f.body_open = i;
-        f.body_close = close;
-        f.class_ctx = ctx;
-        fm.funcs.push_back(f);
-        scopes.push_back({'f', f.name, close,
-                          static_cast<int>(fm.funcs.size() - 1)});
+        scopes.push_back({'c', pending_name, close});
+        model.classes.push_back({class_path(), rel, i, close});
       } else {
-        scopes.push_back({'b', "", close, -1});
+        scopes.push_back({'b', "", close});
       }
       pending_class = pending_ns = pending_enum = false;
       last_word.clear();
@@ -1116,475 +895,21 @@ void scan_model_file(const std::string& rel, const std::string& code,
       pending_class = true;
       pending_name = code.substr(k, ne - k);
       pending_ns = false;
-    } else if ((word == "Mutex" || word == "SharedMutex") &&
-               paren_depth == 0 && prev_c != '<') {
-      // A declaration "common::Mutex name_ <annotations>;" — at class
-      // or namespace scope, or a function-local struct (ForState).
+    } else if (word == "Mutex" && paren_depth == 0 && prev_c != '<') {
+      // A member declaration "common::Mutex name_{rank};".
       std::size_t k = e;
       while (k < code.size() && is_space(code[k])) ++k;
       std::size_t ne = k;
       while (ne < code.size() && is_ident_char(code[ne])) ++ne;
-      if (ne > k && !(scopes.empty() && pending_class)) {
+      const std::string cls = class_path();
+      if (ne > k && !cls.empty() && !(scopes.empty() && pending_class)) {
         const std::string member = code.substr(k, ne - k);
-        if (member != "const" && member != "mutable") {
-          MutexDecl d;
-          d.member = member;
-          std::vector<std::string> path = class_path();
-          d.cls = join_path(path);
-          d.qual = d.cls.empty() ? d.member : d.cls + "::" + d.member;
-          d.file = rel;
-          d.line = line_of(code, i);
-          // Trailing annotations up to the ';'.
-          const std::size_t semi = code.find(';', ne);
-          if (semi != std::string::npos) {
-            const std::string tail = code.substr(ne, semi - ne);
-            for (const char* macro :
-                 {"REPRO_ACQUIRED_BEFORE", "REPRO_ACQUIRED_AFTER"}) {
-              std::size_t mp = tail.find(macro);
-              if (mp == std::string::npos) continue;
-              if (auto args =
-                      paren_args_at(tail, mp + std::strlen(macro))) {
-                auto& dst = std::string_view(macro).ends_with("BEFORE")
-                                ? d.before_raw
-                                : d.after_raw;
-                for (const std::string& a : split_args(*args))
-                  dst.push_back(a);
-              }
-            }
-          }
-          model.mutexes.push_back(d);
-        }
-      }
-    } else if (word == "REPRO_REQUIRES" && paren_depth == 0) {
-      // "ret name(params) [const|noexcept|REPRO_*(...)] REPRO_REQUIRES(m)"
-      std::size_t close = 0;
-      const auto args = paren_args_at(code, e, &close);
-      if (args) {
-        // Backtrack to the function name this annotates.
-        std::size_t j = i;
-        std::string fname;
-        for (int guard = 0; guard < 16 && fname.empty(); ++guard) {
-          while (j > 0 && is_space(code[j - 1])) --j;
-          if (j == 0) break;
-          if (code[j - 1] == ')') {
-            const std::size_t open = match_open(code, j - 1, '(', ')');
-            if (open == std::string::npos) break;
-            std::size_t k = open;
-            while (k > 0 && is_space(code[k - 1])) --k;
-            const std::size_t we = k;
-            while (k > 0 && is_ident_char(code[k - 1])) --k;
-            const std::string w = code.substr(k, we - k);
-            if (w.empty()) break;  // lambda — not modeled
-            if (w == "noexcept" || starts_with(w, "REPRO_")) {
-              j = k;
-              continue;
-            }
-            if (!is_control_word(w)) fname = w;
-            break;
-          }
-          // const / noexcept / override / final words between.
-          const std::size_t we = j;
-          std::size_t k = j;
-          while (k > 0 && is_ident_char(code[k - 1])) --k;
-          const std::string w = code.substr(k, we - k);
-          if (w == "const" || w == "noexcept" || w == "override" ||
-              w == "final") {
-            j = k;
-            continue;
-          }
-          break;
-        }
-        if (!fname.empty()) {
-          std::vector<std::string> ctx = class_path();
-          const std::string key =
-              ctx.empty() ? fname : ctx.back() + "::" + fname;
-          for (const std::string& a : split_args(*args))
-            model.requires_map[key].push_back({a, ctx});
-        }
-      }
-    } else if ((word == "MutexLock" || word == "ExclusiveLock" ||
-                word == "SharedLock") &&
-               paren_depth == 0) {
-      // "common::MutexLock name(arg);" — scoped RAII acquisition.
-      std::size_t k = e;
-      while (k < code.size() && is_space(code[k])) ++k;
-      std::size_t ne = k;
-      while (ne < code.size() && is_ident_char(code[ne])) ++ne;
-      if (ne > k) {
-        if (auto arg = paren_args_at(code, ne)) {
-          Acquisition a;
-          a.arg = *arg;
-          a.file = rel;
-          a.pos = i;
-          a.line = line_of(code, i);
-          a.scope_end = innermost_scope_end(code.size());
-          a.func = current_func();
-          fm.acqs.push_back(a);
-        }
+        if (member != "const" && member != "mutable")
+          model.concurrent.insert(cls);
       }
     }
     last_word = word;
     i = e - 1;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Lock-order manifest + graph checks.
-// ---------------------------------------------------------------------------
-
-struct Manifest {
-  std::string file = "tools/lock_order.txt";
-  std::vector<std::pair<std::string, std::size_t>> mutexes;  // name, line
-  struct Edge {
-    std::string from, to;
-    std::size_t line = 0;
-  };
-  std::vector<Edge> edges;
-  std::set<std::string> names;
-  std::map<std::string, std::vector<std::string>> adj;
-
-  bool has(const std::string& m) const { return names.count(m) != 0; }
-
-  /// Transitive reachability from -> to over declared before-edges.
-  bool reach(const std::string& from, const std::string& to) const {
-    if (from == to) return false;
-    std::vector<std::string> stack = {from};
-    std::set<std::string> seen;
-    while (!stack.empty()) {
-      const std::string cur = stack.back();
-      stack.pop_back();
-      if (!seen.insert(cur).second) continue;
-      const auto it = adj.find(cur);
-      if (it == adj.end()) continue;
-      for (const std::string& nxt : it->second) {
-        if (nxt == to) return true;
-        stack.push_back(nxt);
-      }
-    }
-    return false;
-  }
-
-  /// Returns a node on a cycle, or empty if the declared order is a DAG.
-  std::string find_cycle() const {
-    std::map<std::string, int> color;  // 0 white, 1 grey, 2 black
-    std::string hit;
-    std::function<bool(const std::string&)> dfs =
-        [&](const std::string& n) -> bool {
-      color[n] = 1;
-      const auto it = adj.find(n);
-      if (it != adj.end())
-        for (const std::string& nxt : it->second) {
-          if (color[nxt] == 1) {
-            hit = nxt;
-            return true;
-          }
-          if (color[nxt] == 0 && dfs(nxt)) return true;
-        }
-      color[n] = 2;
-      return false;
-    };
-    for (const auto& [name, line] : mutexes)
-      if (color[name] == 0 && dfs(name)) return hit;
-    return {};
-  }
-};
-
-bool parse_manifest(std::istream& in, const std::string& display_name,
-                    Manifest& m, std::string& error) {
-  m.file = display_name;
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(in, line)) {
-    ++n;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ss(line);
-    std::string kind;
-    if (!(ss >> kind)) continue;
-    if (kind == "mutex") {
-      std::string name;
-      if (!(ss >> name)) {
-        error = display_name + ":" + std::to_string(n) +
-                ": mutex line needs a name";
-        return false;
-      }
-      m.mutexes.emplace_back(name, n);
-      m.names.insert(name);
-    } else if (kind == "before") {
-      std::string a, b;
-      if (!(ss >> a >> b)) {
-        error = display_name + ":" + std::to_string(n) +
-                ": before line needs two mutex names";
-        return false;
-      }
-      m.edges.push_back({a, b, n});
-      m.adj[a].push_back(b);
-    } else {
-      error = display_name + ":" + std::to_string(n) +
-              ": unknown directive \"" + kind + "\" (mutex|before)";
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Resolves a lock-constructor / REQUIRES argument to a declared
-/// mutex's qualified name. Plain identifiers prefer the enclosing
-/// class context; object-qualified references (x.m / p->m / a[i]->m)
-/// resolve by globally-unique member name. Empty return = unresolved
-/// (a lock/order finding was appended).
-std::string resolve_mutex(const ConcurrencyModel& model,
-                          const std::string& raw_arg,
-                          const std::vector<std::string>& class_ctx,
-                          const std::string& file, std::size_t line,
-                          std::vector<Finding>* out) {
-  std::string arg = raw_arg;
-  while (!arg.empty() && is_space(arg.back())) arg.pop_back();
-  while (!arg.empty() && (is_space(arg.front()) || arg.front() == '*' ||
-                          arg.front() == '&'))
-    arg.erase(arg.begin());
-  std::size_t e = arg.size();
-  std::size_t s = e;
-  while (s > 0 && is_ident_char(arg[s - 1])) --s;
-  const std::string member = arg.substr(s, e - s);
-  auto fail = [&](const std::string& why) -> std::string {
-    if (out)
-      out->push_back({file, line, "lock/order",
-                      "cannot resolve lock argument \"" + raw_arg +
-                          "\" to a declared mutex (" + why +
-                          "); name the mutex so the checker can see it"});
-    return {};
-  };
-  if (member.empty()) return fail("no trailing identifier");
-  std::vector<const MutexDecl*> candidates;
-  for (const MutexDecl& d : model.mutexes)
-    if (d.member == member) candidates.push_back(&d);
-  if (candidates.empty()) return fail("no mutex member named " + member);
-  if (candidates.size() == 1) return candidates[0]->qual;
-  // Ambiguous member name: prefer a declaration whose class is in the
-  // enclosing class context (innermost last — walk outward).
-  for (std::size_t i = class_ctx.size(); i-- > 0;) {
-    std::vector<const MutexDecl*> narrowed;
-    for (const MutexDecl* d : candidates) {
-      const std::size_t sep = d->cls.rfind("::");
-      const std::string last =
-          sep == std::string::npos ? d->cls : d->cls.substr(sep + 2);
-      if (last == class_ctx[i]) narrowed.push_back(d);
-    }
-    if (narrowed.size() == 1) return narrowed[0]->qual;
-  }
-  return fail("member name is ambiguous across classes and the enclosing "
-              "class context does not disambiguate");
-}
-
-struct LockEdge {
-  std::string from, to;
-  std::string file;
-  std::size_t line = 0;  // acquisition site of `to`
-  std::string via;       // how the edge was extracted, for the message
-};
-
-/// The acquired-while-holding graph. Three extraction rules (DESIGN
-/// 5.9): (A) scoped-lock nesting inside one function body, position-
-/// aware (B is under A only while A's scope is still open); (B) a
-/// function annotated REPRO_REQUIRES(H) acquires M in its body; (C)
-/// one level of same-file call propagation — while holding H, a plain
-/// call to a unique same-file function G adds H -> each lock G takes.
-std::vector<LockEdge> extract_edges(const ConcurrencyModel& model,
-                                    std::vector<Finding>& out) {
-  std::vector<LockEdge> edges;
-  std::set<std::string> seen;
-  auto add_edge = [&](const std::string& from, const std::string& to,
-                      const std::string& file, std::size_t line,
-                      const std::string& via) {
-    if (from.empty() || to.empty()) return;
-    const std::string key =
-        from + "|" + to + "|" + file + "|" + std::to_string(line);
-    if (seen.insert(key).second) edges.push_back({from, to, file, line, via});
-  };
-  static const std::set<std::string> kNotCalls = {
-      "MutexLock", "ExclusiveLock", "SharedLock", "CondVar"};
-
-  for (const FileModel& fm : model.files) {
-    // Per-function acquisition lists + class contexts.
-    auto ctx_of = [&](const Acquisition& a) -> std::vector<std::string> {
-      if (a.func >= 0) return fm.funcs[a.func].class_ctx;
-      return {};
-    };
-    std::vector<std::string> resolved(fm.acqs.size());
-    for (std::size_t i = 0; i < fm.acqs.size(); ++i)
-      resolved[i] = resolve_mutex(model, fm.acqs[i].arg, ctx_of(fm.acqs[i]),
-                                  fm.rel, fm.acqs[i].line, &out);
-
-    // Rule A: same-function scoped nesting, position-aware liveness.
-    for (std::size_t i = 0; i < fm.acqs.size(); ++i) {
-      const Acquisition& a = fm.acqs[i];
-      for (std::size_t j = 0; j < fm.acqs.size(); ++j) {
-        if (i == j) continue;
-        const Acquisition& b = fm.acqs[j];
-        if (a.func != b.func) continue;
-        if (a.pos < b.pos && b.pos <= a.scope_end)
-          add_edge(resolved[i], resolved[j], fm.rel, b.line,
-                   "scoped nesting");
-      }
-    }
-
-    // Rule B: REQUIRES(H) on the function; every acquisition in the
-    // body runs while H is held by contract.
-    for (std::size_t fi = 0; fi < fm.funcs.size(); ++fi) {
-      const FuncDef& f = fm.funcs[fi];
-      auto it = model.requires_map.find(f.key2);
-      if (it == model.requires_map.end())
-        it = model.requires_map.find(f.name);
-      if (it == model.requires_map.end()) continue;
-      for (const RequiresEntry& req : it->second) {
-        const std::string held = resolve_mutex(
-            model, req.arg,
-            req.class_ctx.empty() ? f.class_ctx : req.class_ctx, f.file,
-            f.line, &out);
-        for (std::size_t ai = 0; ai < fm.acqs.size(); ++ai)
-          if (fm.acqs[ai].func == static_cast<int>(fi))
-            add_edge(held, resolved[ai], fm.rel, fm.acqs[ai].line,
-                     "REPRO_REQUIRES(" + req.arg + ") on " + f.key2);
-      }
-    }
-
-    // Rule C: one-level same-file call propagation. A call is a plain
-    // identifier followed by '(' — receiver-qualified (./->/::) calls
-    // are skipped, and only a name matching exactly one function
-    // definition in this file propagates.
-    std::map<std::string, std::vector<int>> funcs_by_name;
-    for (std::size_t fi = 0; fi < fm.funcs.size(); ++fi)
-      funcs_by_name[fm.funcs[fi].name].push_back(static_cast<int>(fi));
-    for (std::size_t i = 0; i < fm.acqs.size(); ++i) {
-      if (resolved[i].empty()) continue;
-      const Acquisition& a = fm.acqs[i];
-      const std::size_t end = std::min(a.scope_end, fm.code.size());
-      for (std::size_t p = a.pos; p < end; ++p) {
-        if (!is_ident_char(fm.code[p])) continue;
-        if (p > 0 && is_ident_char(fm.code[p - 1])) continue;
-        std::size_t we = p;
-        while (we < end && is_ident_char(fm.code[we])) ++we;
-        const std::string w = fm.code.substr(p, we - p);
-        std::size_t q = we;
-        while (q < fm.code.size() && is_space(fm.code[q])) ++q;
-        const bool call = q < fm.code.size() && fm.code[q] == '(';
-        const bool plain =
-            p == 0 || (fm.code[p - 1] != '.' && fm.code[p - 1] != ':' &&
-                       !(p >= 2 && fm.code[p - 2] == '-' &&
-                         fm.code[p - 1] == '>'));
-        p = we - 1;
-        if (!call || !plain || is_control_word(w) ||
-            starts_with(w, "REPRO_") || kNotCalls.count(w))
-          continue;
-        const auto fit = funcs_by_name.find(w);
-        if (fit == funcs_by_name.end() || fit->second.size() != 1)
-          continue;
-        const int callee = fit->second[0];
-        if (callee == a.func) continue;
-        for (std::size_t ai = 0; ai < fm.acqs.size(); ++ai)
-          if (fm.acqs[ai].func == callee)
-            add_edge(resolved[i], resolved[ai], fm.rel, fm.acqs[ai].line,
-                     "call to " + w + "() while holding");
-      }
-    }
-  }
-  return edges;
-}
-
-/// The lock/order pass: manifest coverage both ways, acyclicity, the
-/// extracted graph against the declared partial order, and the
-/// REPRO_ACQUIRED_BEFORE/AFTER declaration annotations.
-void check_lock_order(const ConcurrencyModel& model, const Manifest& man,
-                      std::vector<Finding>& out) {
-  std::set<std::string> declared;
-  for (const MutexDecl& d : model.mutexes) declared.insert(d.qual);
-
-  for (const auto& [name, line] : man.mutexes)
-    if (!declared.count(name))
-      out.push_back({man.file, line, "lock/order",
-                     "manifest mutex \"" + name +
-                         "\" does not match any Mutex/SharedMutex "
-                         "declaration in the tree; fix or delete it"});
-  for (const auto& e : man.edges) {
-    if (!man.has(e.from))
-      out.push_back({man.file, e.line, "lock/order",
-                     "before-edge references undeclared mutex \"" + e.from +
-                         "\"; add a mutex line first"});
-    if (!man.has(e.to))
-      out.push_back({man.file, e.line, "lock/order",
-                     "before-edge references undeclared mutex \"" + e.to +
-                         "\"; add a mutex line first"});
-  }
-  for (const MutexDecl& d : model.mutexes)
-    if (!man.has(d.qual))
-      out.push_back({d.file, d.line, "lock/order",
-                     "mutex " + d.qual + " is missing from " + man.file +
-                         "; every mutex must have a place in the "
-                         "canonical order (DESIGN 5.9)"});
-
-  const std::string cyc = man.find_cycle();
-  if (!cyc.empty()) {
-    out.push_back({man.file, 1, "lock/order",
-                   "the declared before-order contains a cycle through " +
-                       cyc + "; a lock order must be a partial order"});
-    return;  // edge checks against a cyclic "order" would be noise
-  }
-
-  // Declaration annotations must agree with the manifest.
-  for (const MutexDecl& d : model.mutexes) {
-    std::vector<std::string> ctx;
-    {
-      std::size_t start = 0, sep;
-      while ((sep = d.cls.find("::", start)) != std::string::npos) {
-        ctx.push_back(d.cls.substr(start, sep - start));
-        start = sep + 2;
-      }
-      if (start < d.cls.size()) ctx.push_back(d.cls.substr(start));
-    }
-    for (const std::string& arg : d.before_raw) {
-      const std::string other =
-          resolve_mutex(model, arg, ctx, d.file, d.line, &out);
-      if (!other.empty() && man.has(d.qual) && man.has(other) &&
-          !man.reach(d.qual, other))
-        out.push_back({d.file, d.line, "lock/order",
-                       "REPRO_ACQUIRED_BEFORE(" + arg + ") on " + d.qual +
-                           " is not implied by " + man.file +
-                           "; add \"before " + d.qual + " " + other +
-                           "\" or fix the annotation"});
-    }
-    for (const std::string& arg : d.after_raw) {
-      const std::string other =
-          resolve_mutex(model, arg, ctx, d.file, d.line, &out);
-      if (!other.empty() && man.has(d.qual) && man.has(other) &&
-          !man.reach(other, d.qual))
-        out.push_back({d.file, d.line, "lock/order",
-                       "REPRO_ACQUIRED_AFTER(" + arg + ") on " + d.qual +
-                           " is not implied by " + man.file +
-                           "; add \"before " + other + " " + d.qual +
-                           "\" or fix the annotation"});
-    }
-  }
-
-  for (const LockEdge& e : extract_edges(model, out)) {
-    if (e.from == e.to) {
-      out.push_back({e.file, e.line, "lock/order",
-                     e.from + " acquired while already held (" + e.via +
-                         "); common::Mutex is not recursive"});
-      continue;
-    }
-    if (!man.has(e.from) || !man.has(e.to)) continue;  // reported above
-    if (man.reach(e.to, e.from))
-      out.push_back({e.file, e.line, "lock/order",
-                     e.from + " held while acquiring " + e.to + " (" +
-                         e.via + ") contradicts " + man.file +
-                         ", which orders " + e.to + " before " + e.from});
-    else if (!man.reach(e.from, e.to))
-      out.push_back({e.file, e.line, "lock/order",
-                     e.from + " held while acquiring " + e.to + " (" +
-                         e.via + ") is not declared in " + man.file +
-                         "; add \"before " + e.from + " " + e.to +
-                         "\" if this nesting is intended"});
   }
 }
 
@@ -1594,7 +919,6 @@ void check_lock_order(const ConcurrencyModel& model, const Manifest& man,
 
 struct CoverageReport {
   std::size_t unguarded_fields = 0;
-  std::size_t unlisted_mutexes = 0;
   std::vector<Finding> details;
 };
 
@@ -1717,8 +1041,8 @@ void classify_member(const std::string& code, const std::string& stmt_raw,
   if (first_token(type_part) == "const") return;
   if (type_part.find('&') != std::string::npos) return;  // reference
   static constexpr std::string_view kSelfSync[] = {
-      "Mutex",  "SharedMutex",        "CondVar", "once_flag",
-      "atomic", "condition_variable", "thread"};
+      "Mutex", "CondVar", "once_flag", "atomic", "condition_variable",
+      "thread"};
   for (const std::string_view tok : kSelfSync)
     if (has_token(type_part, tok)) return;
   const bool guarded = ann.count("REPRO_GUARDED_BY") ||
@@ -1738,29 +1062,16 @@ void classify_member(const std::string& code, const std::string& stmt_raw,
 }
 
 /// Counts mutable fields of concurrent classes (any class declaring a
-/// Mutex/SharedMutex member) that carry none of REPRO_GUARDED_BY /
-/// REPRO_PT_GUARDED_BY / REPRO_CONST_AFTER_INIT / REPRO_THREAD_CONFINED,
-/// plus mutexes missing from the manifest. Fields whose type is itself
-/// a synchronization or self-synchronizing primitive (Mutex, CondVar,
-/// std::atomic, std::thread, once_flag) are exempt, as are const and
-/// reference members.
-CoverageReport collect_coverage(const ConcurrencyModel& model,
-                                const Manifest& man) {
+/// Mutex member) that carry none of REPRO_GUARDED_BY /
+/// REPRO_PT_GUARDED_BY / REPRO_CONST_AFTER_INIT / REPRO_THREAD_CONFINED.
+/// Fields whose type is itself a synchronization or self-synchronizing
+/// primitive (Mutex, CondVar, std::atomic, std::thread, once_flag) are
+/// exempt, as are const and reference members.
+CoverageReport collect_coverage(const ConcurrencyModel& model) {
   CoverageReport rep;
-  std::set<std::string> concurrent;  // class quals with a mutex member
-  for (const MutexDecl& d : model.mutexes)
-    if (!d.cls.empty()) concurrent.insert(d.cls);
-
-  for (const MutexDecl& d : model.mutexes)
-    if (!man.has(d.qual)) {
-      ++rep.unlisted_mutexes;
-      rep.details.push_back({d.file, d.line, "coverage/unlisted-mutex",
-                             d.qual + " is not in " + man.file});
-    }
-
   for (const FileModel& fm : model.files) {
     for (const ClassRegion& cr : model.classes) {
-      if (cr.file != fm.rel || !concurrent.count(cr.qual)) continue;
+      if (cr.file != fm.rel || !model.concurrent.count(cr.qual)) continue;
       const std::string& code = fm.code;
       // Walk the class body at depth 0, splitting member statements at
       // ';' and at the close of depth-0 brace groups (inline bodies,
@@ -1900,27 +1211,17 @@ std::vector<Suppression> load_suppressions(const fs::path& file,
   return supp;
 }
 
-bool load_baseline(const fs::path& file, std::size_t& unguarded,
-                   std::size_t& unlisted) {
+bool load_baseline(const fs::path& file, std::size_t& unguarded) {
   std::ifstream in(file);
   if (!in) return false;
   std::string line;
-  bool got_u = false, got_m = false;
   while (std::getline(in, line)) {
     std::istringstream ls(line);
     std::string key;
-    std::size_t value = 0;
-    if (!(ls >> key) || key.empty() || key[0] == '#') continue;
-    if (!(ls >> value)) continue;
-    if (key == "unguarded_fields") {
-      unguarded = value;
-      got_u = true;
-    } else if (key == "unlisted_mutexes") {
-      unlisted = value;
-      got_m = true;
-    }
+    if ((ls >> key) && key == "unguarded_fields" && (ls >> unguarded))
+      return true;
   }
-  return got_u && got_m;
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -2068,75 +1369,6 @@ const SelfTestRow kSelfTestRows[] = {
      "todo/owner", 1},
 };
 
-// Gadget fixture for the lock/order arms: a header declaring two
-// mutexes and a REQUIRES-annotated method, and a TU that nests them
-// (Rule A in lift(), Rule B in drop()).
-constexpr const char* kGadgetHpp =
-    "#pragma once\n"
-    "#include \"repro/common/mutex.hpp\"\n"
-    "namespace demo {\n"
-    "class Gadget {\n"
-    " public:\n"
-    "  void lift();\n"
-    "  void drop() REPRO_REQUIRES(a_mutex_);\n"
-    " private:\n"
-    "  common::Mutex a_mutex_;\n"
-    "  common::Mutex b_mutex_;\n"
-    "  int count_ REPRO_GUARDED_BY(a_mutex_) = 0;\n"
-    "};\n"
-    "}  // namespace demo\n";
-constexpr const char* kGadgetCpp =
-    "#include \"demo/gadget.hpp\"\n"
-    "namespace demo {\n"
-    "void Gadget::lift() {\n"
-    "  common::MutexLock a(a_mutex_);\n"
-    "  common::MutexLock b(b_mutex_);\n"
-    "  ++count_;\n"
-    "}\n"
-    "void Gadget::drop() {\n"
-    "  common::MutexLock b(b_mutex_);\n"
-    "}\n"
-    "}  // namespace demo\n";
-
-struct LockOrderScenario {
-  const char* label;
-  const char* manifest;
-  long want;
-};
-
-const LockOrderScenario kLockOrderScenarios[] = {
-    {"conforming manifest",
-     "mutex Gadget::a_mutex_\n"
-     "mutex Gadget::b_mutex_\n"
-     "before Gadget::a_mutex_ Gadget::b_mutex_\n",
-     0},
-    {"undeclared edges",
-     "mutex Gadget::a_mutex_\n"
-     "mutex Gadget::b_mutex_\n",
-     2},
-    {"contradicted order",
-     "mutex Gadget::a_mutex_\n"
-     "mutex Gadget::b_mutex_\n"
-     "before Gadget::b_mutex_ Gadget::a_mutex_\n",
-     2},
-    {"cyclic order",
-     "mutex Gadget::a_mutex_\n"
-     "mutex Gadget::b_mutex_\n"
-     "before Gadget::a_mutex_ Gadget::b_mutex_\n"
-     "before Gadget::b_mutex_ Gadget::a_mutex_\n",
-     1},
-    {"mutex missing from manifest",
-     "mutex Gadget::a_mutex_\n"
-     "before Gadget::a_mutex_ Gadget::b_mutex_\n",
-     2},  // missing decl + before-edge referencing an undeclared name
-};
-
-long count_rule_in(const std::vector<Finding>& all, const char* rule) {
-  return std::count_if(all.begin(), all.end(), [&](const Finding& f) {
-    return f.rule == rule;
-  });
-}
-
 int run_self_test() {
   const fs::path tmp_root =
       fs::temp_directory_path() / "repro_lint_selftest";
@@ -2160,34 +1392,7 @@ int run_self_test() {
     if (red != row.want_red || green != 0) failed = true;
   }
 
-  // lock/order: one model of the gadget fixture, five manifests.
-  ConcurrencyModel model;
-  scan_model_file("include/demo/gadget.hpp",
-                  blank_comments_and_strings(kGadgetHpp), model);
-  scan_model_file("src/demo/gadget.cpp",
-                  blank_comments_and_strings(kGadgetCpp), model);
-  for (const LockOrderScenario& sc : kLockOrderScenarios) {
-    Manifest man;
-    std::istringstream in(sc.manifest);
-    std::string error;
-    if (!parse_manifest(in, "lock_order.txt", man, error)) {
-      std::fprintf(stderr, "repro-lint: self-test: manifest parse: %s\n",
-                   error.c_str());
-      failed = true;
-      continue;
-    }
-    std::vector<Finding> all;
-    check_lock_order(model, man, all);
-    const long got = count_rule_in(all, "lock/order");
-    std::fprintf(stderr,
-                 "repro-lint: self-test: lock/order %-28s -> %ld "
-                 "(want %ld)\n",
-                 sc.label, got, sc.want);
-    if (got != sc.want) failed = true;
-  }
-
-  // --coverage: an unguarded field is counted, its annotated twin is
-  // not, and a mutex outside the manifest is an unlisted gap.
+  // --coverage: an unguarded field is counted, its annotated twin not.
   {
     static constexpr const char* kSeededCov =
         "namespace demo {\n"
@@ -2195,7 +1400,7 @@ int run_self_test() {
         " public:\n"
         "  void bump();\n"
         " private:\n"
-        "  common::Mutex mu_;\n"
+        "  common::Mutex mu_{common::LockRank::kShard};\n"
         "  long total_;\n"
         "};\n"
         "}  // namespace demo\n";
@@ -2205,35 +1410,23 @@ int run_self_test() {
         " public:\n"
         "  void bump();\n"
         " private:\n"
-        "  common::Mutex mu_;\n"
+        "  common::Mutex mu_{common::LockRank::kShard};\n"
         "  long total_ REPRO_GUARDED_BY(mu_);\n"
         "};\n"
         "}  // namespace demo\n";
-    Manifest listed;
-    {
-      std::istringstream in("mutex Counter::mu_\n");
-      std::string error;
-      parse_manifest(in, "lock_order.txt", listed, error);
-    }
-    Manifest empty_man;
-    auto coverage_of = [&](const char* src, const Manifest& man) {
+    auto coverage_of = [&](const char* src) {
       ConcurrencyModel m;
       scan_model_file("include/demo/counter.hpp",
                       blank_comments_and_strings(src), m);
-      return collect_coverage(m, man);
+      return collect_coverage(m).unguarded_fields;
     };
-    const CoverageReport red = coverage_of(kSeededCov, listed);
-    const CoverageReport green = coverage_of(kCleanCov, listed);
-    const CoverageReport unlisted = coverage_of(kCleanCov, empty_man);
+    const std::size_t red = coverage_of(kSeededCov);
+    const std::size_t green = coverage_of(kCleanCov);
     std::fprintf(stderr,
                  "repro-lint: self-test: coverage seeded -> %zu unguarded "
-                 "(want 1), clean -> %zu (want 0), empty manifest -> %zu "
-                 "unlisted (want 1)\n",
-                 red.unguarded_fields, green.unguarded_fields,
-                 unlisted.unlisted_mutexes);
-    if (red.unguarded_fields != 1 || green.unguarded_fields != 0 ||
-        unlisted.unlisted_mutexes != 1)
-      failed = true;
+                 "(want 1), clean -> %zu (want 0)\n",
+                 red, green);
+    if (red != 1 || green != 0) failed = true;
   }
 
   fs::remove_all(tmp_root, ec);
@@ -2281,8 +1474,6 @@ int main(int argc, char** argv) {
       opt.compiler = value();
     else if (arg == "--no-compile")
       opt.compile_headers = false;
-    else if (arg == "--manifest")
-      opt.manifest = value();
     else if (arg == "--coverage")
       opt.coverage = true;
     else if (arg == "--baseline")
@@ -2307,9 +1498,8 @@ int main(int argc, char** argv) {
     else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: repro_lint --root <repo> [--supp <file>] "
-          "[--compiler <cc>] [--no-compile] [--manifest <file>] "
-          "[--format=text|json]\n"
-          "       repro_lint --root <repo> --coverage --manifest <file> "
+          "[--compiler <cc>] [--no-compile] [--format=text|json]\n"
+          "       repro_lint --root <repo> --coverage "
           "[--baseline <file>] [--format=text|json]\n"
           "       repro_lint --self-test\n");
       return 0;
@@ -2323,30 +1513,6 @@ int main(int argc, char** argv) {
                  opt.root.string().c_str());
     return 2;
   }
-  if (opt.coverage && opt.manifest.empty()) {
-    std::fprintf(stderr,
-                 "repro-lint: --coverage needs --manifest (unlisted "
-                 "mutexes are half the count)\n");
-    return 2;
-  }
-
-  Manifest manifest;
-  if (!opt.manifest.empty()) {
-    std::ifstream in(opt.manifest);
-    if (!in) {
-      std::fprintf(stderr, "repro-lint: cannot read manifest %s\n",
-                   opt.manifest.string().c_str());
-      return 2;
-    }
-    std::string error;
-    if (!parse_manifest(in, normalize_supp_path(
-                                opt.manifest.generic_string(), opt.root),
-                        manifest, error)) {
-      std::fprintf(stderr, "repro-lint: %s\n", error.c_str());
-      return 2;
-    }
-  }
-
   // Walk the tree once; per-file rules and the concurrency model feed
   // off the same listing.
   static constexpr std::string_view kDirs[] = {
@@ -2354,7 +1520,6 @@ int main(int argc, char** argv) {
   std::vector<Finding> findings;
   std::vector<fs::path> headers;
   ConcurrencyModel model;
-  const bool need_model = opt.coverage || !opt.manifest.empty();
   for (const std::string_view dir : kDirs) {
     const fs::path base = opt.root / dir;
     if (!fs::is_directory(base)) continue;
@@ -2370,7 +1535,7 @@ int main(int argc, char** argv) {
         scan_file(p, rel, findings);
         if (ext == ".hpp" && under(rel, "include/")) headers.push_back(p);
       }
-      if (need_model && model_file_eligible(rel)) {
+      if (opt.coverage && model_file_eligible(rel)) {
         if (const auto raw = read_file(p))
           scan_model_file(rel, blank_comments_and_strings(*raw), model);
       }
@@ -2378,7 +1543,7 @@ int main(int argc, char** argv) {
   }
 
   if (opt.coverage) {
-    const CoverageReport rep = collect_coverage(model, manifest);
+    const CoverageReport rep = collect_coverage(model);
     std::vector<Finding> details = rep.details;
     std::sort(details.begin(), details.end(),
               [](const Finding& a, const Finding& b) {
@@ -2386,44 +1551,31 @@ int main(int argc, char** argv) {
                 return a.line < b.line;
               });
     for (const Finding& f : details) print_finding(f, opt.json);
-    std::size_t base_unguarded = 0, base_unlisted = 0;
-    bool have_baseline = false;
-    if (!opt.baseline.empty()) {
-      if (!load_baseline(opt.baseline, base_unguarded, base_unlisted)) {
-        std::fprintf(stderr,
-                     "repro-lint: cannot read baseline %s (want "
-                     "\"unguarded_fields N\" and \"unlisted_mutexes N\" "
-                     "lines)\n",
-                     opt.baseline.string().c_str());
-        return 2;
-      }
-      have_baseline = true;
+    std::fprintf(stderr, "repro-lint: coverage: unguarded_fields %zu\n",
+                 rep.unguarded_fields);
+    if (opt.baseline.empty()) return 0;
+    std::size_t base_unguarded = 0;
+    if (!load_baseline(opt.baseline, base_unguarded)) {
+      std::fprintf(stderr,
+                   "repro-lint: cannot read baseline %s (want an "
+                   "\"unguarded_fields N\" line)\n",
+                   opt.baseline.string().c_str());
+      return 2;
     }
-    std::fprintf(stderr,
-                 "repro-lint: coverage: unguarded_fields %zu, "
-                 "unlisted_mutexes %zu\n",
-                 rep.unguarded_fields, rep.unlisted_mutexes);
-    if (!have_baseline) return 0;
-    if (rep.unguarded_fields > base_unguarded ||
-        rep.unlisted_mutexes > base_unlisted) {
+    if (rep.unguarded_fields > base_unguarded) {
       std::fprintf(stderr,
                    "repro-lint: coverage ratchet FAILED: baseline allows "
-                   "unguarded_fields %zu, unlisted_mutexes %zu — annotate "
-                   "the new fields (REPRO_GUARDED_BY / "
-                   "REPRO_CONST_AFTER_INIT / REPRO_THREAD_CONFINED) or "
-                   "add the mutex to the manifest; never raise the "
-                   "baseline\n",
-                   base_unguarded, base_unlisted);
+                   "unguarded_fields %zu — annotate the new fields "
+                   "(REPRO_GUARDED_BY / REPRO_CONST_AFTER_INIT / "
+                   "REPRO_THREAD_CONFINED); never raise the baseline\n",
+                   base_unguarded);
       return 1;
     }
-    if (rep.unguarded_fields < base_unguarded ||
-        rep.unlisted_mutexes < base_unlisted)
+    if (rep.unguarded_fields < base_unguarded)
       std::fprintf(stderr,
                    "repro-lint: coverage improved past the baseline; "
-                   "ratchet %s down to unguarded_fields %zu / "
-                   "unlisted_mutexes %zu\n",
-                   opt.baseline.string().c_str(), rep.unguarded_fields,
-                   rep.unlisted_mutexes);
+                   "ratchet %s down to unguarded_fields %zu\n",
+                   opt.baseline.string().c_str(), rep.unguarded_fields);
     return 0;
   }
 
@@ -2431,8 +1583,6 @@ int main(int argc, char** argv) {
   const std::vector<Suppression> suppressions =
       load_suppressions(opt.supp, opt.root, config_error);
   if (config_error) return 2;
-
-  if (!opt.manifest.empty()) check_lock_order(model, manifest, findings);
 
   if (opt.compile_headers) {
     std::sort(headers.begin(), headers.end());
