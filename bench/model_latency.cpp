@@ -7,7 +7,7 @@
 // evaluation, fill-curve construction and lookup, the on-line
 // sanitizer's window filter, the equilibrium solve (both solver
 // variants), one engine what-if candidate, the §5 combined power
-// estimate, and assignment enumeration.
+// estimate, assignment enumeration, and one governor plan.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -15,6 +15,7 @@
 #include "repro/core/analytic.hpp"
 #include "repro/core/perf_model.hpp"
 #include "repro/engine/assignment.hpp"
+#include "repro/engine/governor.hpp"
 #include "repro/online/sanitizer.hpp"
 #include "repro/sim/machine.hpp"
 #include "repro/workload/spec.hpp"
@@ -198,6 +199,35 @@ void BM_ExhaustiveAssignmentSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(engine::optimize_assignment(*eng, handles));
 }
 BENCHMARK(BM_ExhaustiveAssignmentSearch)->Arg(2)->Arg(4);
+
+/// One warmed governor plan as perfbench's govern workload makes it: 3
+/// processes on 4 cores under every DVFS level tuple, 2,128 candidates,
+/// with the cap anchored like bench_governor's (slowest + 0.8·range of
+/// the round-robin placement). Items are priced candidates.
+void BM_GovernorPlan(benchmark::State& state) {
+  const auto eng = engine_of(3);
+  const std::vector<engine::ProcessHandle> handles{0, 1, 2};
+  engine::CoScheduleQuery q;
+  q.assignment = core::Assignment::empty(machine().cores);
+  for (std::size_t p = 0; p < handles.size(); ++p)
+    q.assignment.per_core[p].push_back(handles[p]);
+  const Watts full = eng->predict(q).total_power;
+  q.core_frequency.assign(machine().cores, machine().dvfs_levels.front());
+  const Watts slowest = eng->predict(q).total_power;
+  engine::GovernorOptions options;
+  options.power_cap = slowest + 0.8 * (full - slowest);
+  const engine::Governor governor(*eng, options);
+  std::size_t evaluated = governor.plan(handles).evaluated;  // warm
+  for (auto _ : state) {
+    const engine::GovernorDecision d = governor.plan(handles);
+    evaluated = d.evaluated;
+    benchmark::DoNotOptimize(d.prediction.throughput_ips);
+  }
+  state.counters["candidates"] = static_cast<double>(evaluated);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(evaluated));
+}
+BENCHMARK(BM_GovernorPlan)->UseRealTime();
 
 void BM_PowerModelPredict(benchmark::State& state) {
   const core::PowerModel model = power_model();

@@ -94,7 +94,7 @@ int run() {
     pair_assign.per_core[0].push_back(handles[i]);
     pair_assign.per_core[1].push_back(handles[j]);
     const std::vector<engine::CoScheduleQuery> queries{
-        {pair_assign, {}, {}}, {pair_assign, {best.quotas}, {}}};
+        {pair_assign, {}, {}, {}}, {pair_assign, {best.quotas}, {}, {}}};
     const std::vector<engine::SystemPrediction> pred =
         eng.predict_batch(queries);
     const double pred_gain = 100.0 *

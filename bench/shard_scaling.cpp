@@ -225,8 +225,10 @@ int run(bool quick) {
               static_cast<unsigned long long>(windows_per_lane),
               kProcsPerLane, hw);
 
-  const ArmResult one = run_arm({.shards = 1}, windows_per_lane);
-  const ArmResult four = run_arm({.shards = 4}, windows_per_lane);
+  const ArmResult one = run_arm(
+      {.shards = 1, .fit = false, .journal_path = {}}, windows_per_lane);
+  const ArmResult four = run_arm(
+      {.shards = 4, .fit = false, .journal_path = {}}, windows_per_lane);
 
   const double one_wps = static_cast<double>(total) / one.seconds;
   const double four_wps = static_cast<double>(total) / four.seconds;
@@ -270,8 +272,8 @@ int run(bool quick) {
   // stream with durability off. ---
   const std::string journal_path = "bench_shard_scaling.journal.tmp";
   std::remove(journal_path.c_str());
-  const ArmResult plain = run_arm({.shards = 4, .fit = true},
-                                  windows_per_lane);
+  const ArmResult plain = run_arm(
+      {.shards = 4, .fit = true, .journal_path = {}}, windows_per_lane);
   const ArmResult journaled = run_arm(
       {.shards = 4, .fit = true, .journal_path = journal_path},
       windows_per_lane);

@@ -74,11 +74,11 @@ int main() {
       {core::PartitionObjective::kMissRate, "miss rate"},
   };
   std::vector<engine::CoScheduleQuery> queries;
-  queries.push_back({pair, {}, {}});  // shared LRU
+  queries.push_back({pair, {}, {}, {}});  // shared LRU
   std::vector<core::PartitionResult> plans;
   for (const auto& [objective, label] : objectives) {
     plans.push_back(core::optimal_partition(fvs, machine.l2.ways, objective));
-    queries.push_back({pair, {plans.back().quotas}, {}});
+    queries.push_back({pair, {plans.back().quotas}, {}, {}});
   }
   const std::vector<engine::SystemPrediction> pred = eng.predict_batch(queries);
 

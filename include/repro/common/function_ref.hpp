@@ -24,9 +24,13 @@ class FunctionRef<R(Args...)> {
   /// The empty reference; calling it is undefined, test with bool.
   FunctionRef() = default;
 
+  // A callable returning by value cannot stand behind a reference
+  // result: the thunk would return a reference to its own temporary.
   template <class F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
-             std::is_invocable_r_v<R, F&, Args...>)
+             std::is_invocable_r_v<R, F&, Args...> &&
+             (!std::is_reference_v<R> ||
+              std::is_reference_v<std::invoke_result_t<F&, Args...>>))
   FunctionRef(F&& f) noexcept  // implicit, like std::function's
       : object_(const_cast<void*>(
             static_cast<const void*>(std::addressof(f)))),

@@ -2,7 +2,8 @@
 //
 // Power-aware assignment needs the power of a *tentative* process-to-
 // core mapping before any HPC values exist. Everything here prices
-// through ModelEngine::predict_batch; nothing re-implements the
+// through the engine's one pricing loop (ModelEngine::predict_each,
+// directly or via predict_batch); nothing re-implements the
 // equilibrium solve or the §5 power assembly.
 //
 //  - placements() enumerates every process-to-core mapping; the
@@ -56,9 +57,10 @@ struct AssignmentSearchResult {
 };
 
 /// Exhaustive minimum-objective placement of `processes` (engine
-/// handles; a handle may repeat), priced in one predict_batch against
-/// one snapshot. Ties go to the earliest placement. Complexity
-/// cores^k — intended for the paper-scale k ≤ ~8.
+/// handles; a handle may repeat), priced against one snapshot to one
+/// objective value per placement; the winner alone is then predicted
+/// in full. Ties go to the earliest placement. Complexity cores^k —
+/// intended for the paper-scale k ≤ ~8.
 AssignmentSearchResult optimize_assignment(
     const ModelEngine& engine, std::span<const ProcessHandle> processes,
     AssignmentObjective objective = AssignmentObjective::kPower);

@@ -15,7 +15,9 @@
 // replayable and, at the paper's k ≤ 4 scale, *is* the oracle search
 // bench_governor gates against. Over budget it degrades to uniform-
 // frequency tuples plus a greedy per-core step-up refinement, and says
-// so in the decision.
+// so in the decision. Candidates are priced on the engine's workers to
+// two scalars each (throughput, power); only the winner is predicted
+// in full.
 #pragma once
 
 #include <span>

@@ -49,6 +49,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "repro/common/function_ref.hpp"
 #include "repro/common/mutex.hpp"
 #include "repro/common/thread_annotations.hpp"
 #include "repro/common/thread_pool.hpp"
@@ -61,6 +62,10 @@
 #include "repro/sim/machine.hpp"
 
 namespace repro::engine {
+
+namespace detail {
+struct PricingScratch;  // per-thread pricing buffers (model_engine.cpp)
+}  // namespace detail
 
 /// Stable identifier of a registered process. Handles index the
 /// engine's registry and double as the process indices inside a
@@ -355,10 +360,35 @@ class ModelEngine {
   std::vector<SystemPrediction> predict_batch(
       std::span<const CoScheduleQuery> queries) const;
 
-  /// Batch prediction against a pinned snapshot.
+  /// Batch prediction against a pinned snapshot: an adapter over
+  /// predict_each that borrows queries[i] and copies each result out.
   std::vector<SystemPrediction> predict_batch(
       const EngineSnapshot& snapshot,
       std::span<const CoScheduleQuery> queries) const;
+
+  /// Returns candidate i's query. `scratch` belongs to the calling
+  /// worker and keeps every field's capacity across calls; it holds
+  /// whatever the previous fill on that worker left, so a source that
+  /// fills it sets every field. A source may instead return a
+  /// caller-held query.
+  using QuerySource =
+      FunctionRef<const CoScheduleQuery&(std::size_t i,
+                                         CoScheduleQuery& scratch)>;
+  /// Receives candidate i's prediction, valid only during the call.
+  using PredictionSink =
+      FunctionRef<void(std::size_t i, const SystemPrediction& prediction)>;
+
+  /// The engine's one pricing loop: price candidates 0..n-1 against
+  /// `snapshot`, fanned out over the thread pool like predict_batch.
+  /// For each i, on the worker that claims it, `query_of(i, scratch)`
+  /// names the query and `sink(i, prediction)` reads the result, so a
+  /// caller that keeps a few scalars per candidate never materializes
+  /// a query or a prediction. Sinks of distinct indices run
+  /// concurrently. Each result is bit-identical to predict(snapshot,
+  /// query). n = 0 calls neither callback. The first exception thrown
+  /// by a callback or by a query's validation is rethrown here.
+  void predict_each(const EngineSnapshot& snapshot, std::size_t n,
+                    QuerySource query_of, PredictionSink sink) const;
 
   /// Memoization counters for the derived-artifact cache.
   struct CacheStats {
@@ -388,8 +418,11 @@ class ModelEngine {
   using Artifacts = EngineSnapshot::Artifacts;
 
   const Artifacts& artifacts_of(const Entry& entry) const;
-  SystemPrediction predict_on(const EngineSnapshot& snapshot,
-                              const CoScheduleQuery& query) const;
+  /// Price `query` into `out`, gathering each die's solver inputs in
+  /// `scratch`'s reused buffers.
+  void predict_on(const EngineSnapshot& snapshot, const CoScheduleQuery& query,
+                  detail::PricingScratch& scratch,
+                  SystemPrediction& out) const;
   void install(ProcessHandle handle, core::ProcessProfile profile)
       REPRO_REQUIRES(builder_mutex_);
   /// Assemble the next snapshot from the builder state and publish it

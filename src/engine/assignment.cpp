@@ -87,28 +87,38 @@ AssignmentSearchResult optimize_assignment(
   REPRO_ENSURE(snap->has_power_model(),
                "assignment search needs an engine with a power model");
 
-  std::vector<CoScheduleQuery> queries;
-  for (core::Assignment& a : placements(processes, engine.machine().cores)) {
-    CoScheduleQuery q;
-    q.assignment = std::move(a);
-    queries.push_back(std::move(q));
-  }
-  std::vector<SystemPrediction> priced = engine.predict_batch(*snap, queries);
-
+  // One objective value per placement; only the winner is priced in
+  // full, by one more predict_on that reproduces its candidate bits.
   const auto value_of = [objective](const SystemPrediction& p) {
     return objective == AssignmentObjective::kPower
                ? p.total_power
                : p.energy_per_instruction();
   };
+  std::vector<core::Assignment> mappings =
+      placements(processes, engine.machine().cores);
+  std::vector<double> value(mappings.size());
+  engine.predict_each(
+      *snap, mappings.size(),
+      [&](std::size_t i, CoScheduleQuery& q) -> const CoScheduleQuery& {
+        q.assignment.per_core = mappings[i].per_core;
+        q.partition.clear();
+        q.warm_start.clear();
+        q.core_frequency.clear();
+        return q;
+      },
+      [&](std::size_t i, const SystemPrediction& p) { value[i] = value_of(p); });
+
   std::size_t best = 0;
-  for (std::size_t i = 1; i < priced.size(); ++i)
-    if (value_of(priced[i]) < value_of(priced[best])) best = i;
+  for (std::size_t i = 1; i < value.size(); ++i)
+    if (value[i] < value[best]) best = i;
 
   AssignmentSearchResult out;
-  out.assignment = std::move(queries[best].assignment);
-  out.objective_value = value_of(priced[best]);
-  out.prediction = std::move(priced[best]);
-  out.evaluated = priced.size();
+  CoScheduleQuery chosen;
+  chosen.assignment = std::move(mappings[best]);
+  out.prediction = engine.predict(*snap, chosen);
+  out.assignment = std::move(chosen.assignment);
+  out.objective_value = value[best];
+  out.evaluated = value.size();
   return out;
 }
 

@@ -80,58 +80,70 @@ GovernorDecision Governor::choose(
 
   // Candidate count under full per-core tuples; degrade to uniform
   // tuples when it blows the budget.
+  std::vector<std::vector<CoreId>> busy;
+  busy.reserve(assignments.size());
   std::size_t full_total = 0;
   for (const core::Assignment& a : assignments) {
-    full_total += tuple_count(nlevels, busy_cores(a).size(),
-                              options_.max_candidates);
-    if (full_total > options_.max_candidates) break;
+    busy.push_back(busy_cores(a));
+    if (full_total <= options_.max_candidates)
+      full_total += tuple_count(nlevels, busy.back().size(),
+                                options_.max_candidates);
   }
   const bool exhaustive = full_total <= options_.max_candidates;
 
-  // One query per candidate; owner[i] indexes query i's placement in
-  // `assignments`, and its clocks are the query's core_frequency.
-  std::vector<CoScheduleQuery> queries;
-  std::vector<std::size_t> owner;
-  queries.reserve(exhaustive ? full_total : assignments.size() * nlevels);
-  owner.reserve(queries.capacity());
-  const auto add_candidate = [&](std::size_t idx, std::vector<Hertz> freq) {
-    CoScheduleQuery& q = queries.emplace_back();
-    q.assignment = assignments[idx];
-    q.core_frequency = std::move(freq);
-    owner.push_back(idx);
+  // Candidates are numbered in enumeration order: placement p owns
+  // indices [first[p], first[p + 1]). Exhaustively, an index's offset
+  // in that range counts the busy cores' level digits as an odometer
+  // whose last busy core turns fastest; over budget it is one uniform
+  // level for every busy core.
+  std::vector<std::size_t> first(assignments.size() + 1, 0);
+  for (std::size_t p = 0; p < assignments.size(); ++p)
+    first[p + 1] =
+        first[p] + (exhaustive ? tuple_count(nlevels, busy[p].size(),
+                                             options_.max_candidates)
+                               : nlevels);
+  const auto placement_of = [&](std::size_t i) -> std::size_t {
+    return static_cast<std::size_t>(
+               std::upper_bound(first.begin(), first.end(), i) -
+               first.begin()) -
+           1;
+  };
+  // Fill candidate i's query in place. Idle cores contribute the same
+  // idle share at any clock; pin them to the lowest level so the
+  // reported operating point is the one an implementation would
+  // actually program.
+  const auto candidate = [&](std::size_t i,
+                             CoScheduleQuery& q) -> const CoScheduleQuery& {
+    const std::size_t p = placement_of(i);
+    const std::vector<CoreId>& on = busy[p];
+    std::size_t digits = i - first[p];
+    q.assignment.per_core = assignments[p].per_core;
+    q.partition.clear();
+    q.warm_start.clear();
+    q.core_frequency.assign(cores, levels_.front());
+    if (exhaustive) {
+      for (std::size_t b = on.size(); b-- > 0; digits /= nlevels)
+        q.core_frequency[on[b]] = levels_[digits % nlevels];
+    } else {
+      for (CoreId c : on) q.core_frequency[c] = levels_[digits];
+    }
+    return q;
   };
 
-  for (std::size_t idx = 0; idx < assignments.size(); ++idx) {
-    const std::vector<CoreId> busy = busy_cores(assignments[idx]);
-    // Idle cores contribute the same idle share at any clock; pin them
-    // to the lowest level so the reported operating point is the one
-    // an implementation would actually program.
-    std::vector<Hertz> base(cores, levels_.front());
-    if (exhaustive) {
-      std::vector<std::size_t> digit(busy.size(), 0);
-      while (true) {
-        std::vector<Hertz> freq = base;
-        for (std::size_t b = 0; b < busy.size(); ++b)
-          freq[busy[b]] = levels_[digit[b]];
-        add_candidate(idx, std::move(freq));
-        std::size_t b = busy.size();
-        while (b > 0 && ++digit[b - 1] == nlevels) digit[--b] = 0;
-        if (b == 0) break;
-      }
-    } else {
-      for (Hertz level : levels_) {
-        std::vector<Hertz> freq = base;
-        for (CoreId c : busy) freq[c] = level;
-        add_candidate(idx, std::move(freq));
-      }
-    }
-  }
+  // Only two numbers per candidate survive the pricing.
+  struct Priced {
+    double throughput_ips = 0.0;
+    Watts total_power = 0.0;
+  };
+  std::vector<Priced> priced(first.back());
+  const auto keep = [&](std::size_t i, const SystemPrediction& p) {
+    priced[i] = {p.throughput_ips, p.total_power};
+  };
 
-  // One snapshot for the whole plan: every candidate prices against
-  // the same epoch.
+  // One snapshot for the whole plan: every candidate, and the winner's
+  // re-price below, prices against the same epoch.
   const std::shared_ptr<const EngineSnapshot> snap = engine_.snapshot();
-  std::vector<SystemPrediction> priced =
-      engine_.predict_batch(*snap, queries);
+  engine_.predict_each(*snap, priced.size(), candidate, keep);
   std::size_t evaluated = priced.size();
 
   // Feasible candidate with the highest predicted throughput; ties
@@ -147,8 +159,8 @@ GovernorDecision Governor::choose(
       continue;
     }
     if (fits == best_feasible) {
-      const SystemPrediction& a = priced[i];
-      const SystemPrediction& b = priced[best];
+      const Priced& a = priced[i];
+      const Priced& b = priced[best];
       const bool better =
           best_feasible
               ? (a.throughput_ips > b.throughput_ips ||
@@ -159,53 +171,59 @@ GovernorDecision Governor::choose(
     }
   }
 
-  struct Candidate {
-    std::size_t assignment = 0;
-    std::vector<Hertz> freq;  // per core
-  };
-  Candidate chosen{owner[best], queries[best].core_frequency};
-  SystemPrediction chosen_pred = priced[best];
+  CoScheduleQuery chosen;
+  candidate(best, chosen);
 
   if (!exhaustive && best_feasible) {
     // Greedy refinement of the uniform-frequency winner: step one busy
     // core up a level at a time, keeping the best feasible variant,
     // until no single step helps. Bounded by busy·levels predictions.
-    const std::vector<CoreId> busy = busy_cores(assignments[chosen.assignment]);
+    const std::vector<CoreId>& on = busy[placement_of(best)];
+    double chosen_ips = priced[best].throughput_ips;
+    std::vector<std::pair<CoreId, Hertz>> steps;  // (core, next level)
     bool improved = true;
     while (improved) {
       improved = false;
-      std::vector<CoScheduleQuery> variants;
-      std::vector<std::vector<Hertz>> variant_freqs;
-      for (CoreId c : busy) {
+      steps.clear();
+      for (CoreId c : on) {
         const auto at = std::find(levels_.begin(), levels_.end(),
-                                  chosen.freq[c]);
+                                  chosen.core_frequency[c]);
         if (at == levels_.end() || at + 1 == levels_.end()) continue;
-        std::vector<Hertz> freq = chosen.freq;
-        freq[c] = *(at + 1);
-        CoScheduleQuery q;
-        q.assignment = assignments[chosen.assignment];
-        q.core_frequency = freq;
-        variants.push_back(std::move(q));
-        variant_freqs.push_back(std::move(freq));
+        steps.emplace_back(c, *(at + 1));
       }
-      if (variants.empty()) break;
-      const std::vector<SystemPrediction> stepped =
-          engine_.predict_batch(*snap, variants);
-      evaluated += stepped.size();
-      for (std::size_t i = 0; i < stepped.size(); ++i) {
-        if (stepped[i].total_power > planning_cap) continue;
-        if (stepped[i].throughput_ips <= chosen_pred.throughput_ips) continue;
-        chosen.freq = variant_freqs[i];
-        chosen_pred = stepped[i];
+      if (steps.empty()) break;
+      priced.assign(steps.size(), Priced{});
+      engine_.predict_each(
+          *snap, steps.size(),
+          [&](std::size_t i, CoScheduleQuery& q) -> const CoScheduleQuery& {
+            q.assignment.per_core = chosen.assignment.per_core;
+            q.partition.clear();
+            q.warm_start.clear();
+            q.core_frequency = chosen.core_frequency;
+            q.core_frequency[steps[i].first] = steps[i].second;
+            return q;
+          },
+          keep);
+      evaluated += steps.size();
+      std::size_t step = steps.size();
+      for (std::size_t i = 0; i < steps.size(); ++i) {
+        if (priced[i].total_power > planning_cap) continue;
+        if (priced[i].throughput_ips <= chosen_ips) continue;
+        chosen_ips = priced[i].throughput_ips;
+        step = i;
         improved = true;
       }
+      if (improved)
+        chosen.core_frequency[steps[step].first] = steps[step].second;
     }
   }
 
+  // The winner's full prediction: one more predict_on, not counted in
+  // `evaluated`, bit-identical to its priced candidate.
   GovernorDecision decision;
-  decision.assignment = assignments[chosen.assignment];
-  decision.core_frequency = std::move(chosen.freq);
-  decision.prediction = std::move(chosen_pred);
+  decision.prediction = engine_.predict(*snap, chosen);
+  decision.assignment = std::move(chosen.assignment);
+  decision.core_frequency = std::move(chosen.core_frequency);
   decision.feasible = best_feasible;
   decision.exhaustive = exhaustive;
   decision.evaluated = evaluated;

@@ -271,8 +271,66 @@ const ModelEngine::Artifacts& ModelEngine::artifacts_of(
   return entry.artifacts;
 }
 
-SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
-                                         const CoScheduleQuery& query) const {
+namespace detail {
+
+/// One thread's pricing buffers: the query a QuerySource may fill, the
+/// prediction a sink reads, and predict_on's per-die gather buffers.
+/// All keep their capacity from candidate to candidate, so a warmed
+/// thread allocates nothing here.
+struct PricingScratch {
+  struct Slot {
+    ProcessHandle handle;
+    CoreId core;
+  };
+  CoScheduleQuery query;
+  SystemPrediction prediction;
+  std::vector<std::size_t> slot_offset;
+  std::vector<Slot> slots;
+  std::vector<core::SolverInput> inputs;
+  std::vector<double> shares;
+  std::vector<const math::PiecewiseLinear*> fill;
+  std::vector<double> seeds;
+};
+
+}  // namespace detail
+
+namespace {
+
+thread_local detail::PricingScratch tls_scratch;
+thread_local bool tls_scratch_busy = false;
+
+/// Borrows this thread's scratch for one candidate. A callback that
+/// re-enters the engine while the scratch is on loan gets a fresh one.
+class ScratchLease {
+ public:
+  ScratchLease() {
+    if (tls_scratch_busy) {
+      own_ = std::make_unique<detail::PricingScratch>();
+      scratch_ = own_.get();
+    } else {
+      tls_scratch_busy = true;
+      scratch_ = &tls_scratch;
+    }
+  }
+  ~ScratchLease() {
+    if (own_ == nullptr) tls_scratch_busy = false;
+  }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  detail::PricingScratch& get() { return *scratch_; }
+
+ private:
+  detail::PricingScratch* scratch_;
+  std::unique_ptr<detail::PricingScratch> own_;
+};
+
+}  // namespace
+
+void ModelEngine::predict_on(const EngineSnapshot& snapshot,
+                             const CoScheduleQuery& query,
+                             detail::PricingScratch& scratch,
+                             SystemPrediction& out) const {
   query.assignment.validate(machine_.cores, snapshot.registry_.size());
   if (!query.partition.empty())
     REPRO_ENSURE(query.partition.size() == machine_.dies,
@@ -296,30 +354,33 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
   // Global (core, slot) position of each core's first process, so a
   // die's warm-start seeds can be sliced out of the flat vector even
   // when the machine maps cores to dies non-contiguously.
-  std::vector<std::size_t> slot_offset(machine_.cores + 1, 0);
+  std::vector<std::size_t>& slot_offset = scratch.slot_offset;
+  slot_offset.assign(machine_.cores + 1, 0);
   for (CoreId c = 0; c < machine_.cores; ++c)
     slot_offset[c + 1] = slot_offset[c] + query.assignment.per_core[c].size();
 
   const bool has_power = snapshot.power_.has_value();
-  SystemPrediction out;
-  out.processes.reserve(query.assignment.process_count());
+  const std::size_t scheduled = query.assignment.process_count();
+  out.processes.clear();
+  out.processes.reserve(scheduled);
+  out.core_power.clear();
+  out.total_power = 0.0;
+  out.throughput_ips = 0.0;
+  out.solver_iterations = 0;
+  out.solver_fallbacks = 0;
+  out.degraded = false;
   if (has_power) {
     out.core_power.assign(machine_.cores, snapshot.power_->idle_core());
     out.total_power = snapshot.power_->idle_total();
   }
 
-  // Per-die solver inputs, gathered into buffers sized once for the
-  // whole query and refilled die by die.
-  struct Slot {
-    ProcessHandle handle;
-    CoreId core;
-  };
-  const std::size_t scheduled = query.assignment.process_count();
-  std::vector<Slot> slots;
-  std::vector<core::SolverInput> inputs;
-  std::vector<double> shares;
-  std::vector<const math::PiecewiseLinear*> fill;
-  std::vector<double> seeds;
+  // Per-die solver inputs, gathered into buffers sized for the whole
+  // query and refilled die by die.
+  std::vector<detail::PricingScratch::Slot>& slots = scratch.slots;
+  std::vector<core::SolverInput>& inputs = scratch.inputs;
+  std::vector<double>& shares = scratch.shares;
+  std::vector<const math::PiecewiseLinear*>& fill = scratch.fill;
+  std::vector<double>& seeds = scratch.seeds;
   slots.reserve(scheduled);
   inputs.reserve(scheduled);
   shares.reserve(scheduled);
@@ -431,19 +492,21 @@ SystemPrediction ModelEngine::predict_on(const EngineSnapshot& snapshot,
       out.throughput_ips += ips / static_cast<double>(q);
     }
   }
-  return out;
 }
 
 SystemPrediction ModelEngine::predict(const CoScheduleQuery& query) const {
   // Pin the current epoch for the duration of the solve; concurrent
   // revisions publish fresh snapshots without touching this one.
   const std::shared_ptr<const EngineSnapshot> snap = snapshot();
-  return predict_on(*snap, query);
+  return predict(*snap, query);
 }
 
 SystemPrediction ModelEngine::predict(const EngineSnapshot& snapshot,
                                       const CoScheduleQuery& query) const {
-  return predict_on(snapshot, query);
+  ScratchLease lease;
+  SystemPrediction out;
+  predict_on(snapshot, query, lease.get(), out);
+  return out;
 }
 
 std::vector<SystemPrediction> ModelEngine::predict_batch(
@@ -458,15 +521,30 @@ std::vector<SystemPrediction> ModelEngine::predict_batch(
     const EngineSnapshot& snapshot,
     std::span<const CoScheduleQuery> queries) const {
   std::vector<SystemPrediction> out(queries.size());
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      out[i] = predict_on(snapshot, queries[i]);
-  } else {
-    pool_->parallel_for(queries.size(), [&](std::size_t i) {
-      out[i] = predict_on(snapshot, queries[i]);
-    });
-  }
+  predict_each(
+      snapshot, queries.size(),
+      [&](std::size_t i, CoScheduleQuery&) -> const CoScheduleQuery& {
+        return queries[i];
+      },
+      [&](std::size_t i, const SystemPrediction& p) { out[i] = p; });
   return out;
+}
+
+void ModelEngine::predict_each(const EngineSnapshot& snapshot, std::size_t n,
+                               QuerySource query_of,
+                               PredictionSink sink) const {
+  const auto price = [&](std::size_t i) {
+    ScratchLease lease;
+    detail::PricingScratch& scratch = lease.get();
+    const CoScheduleQuery& query = query_of(i, scratch.query);
+    predict_on(snapshot, query, scratch, scratch.prediction);
+    sink(i, scratch.prediction);
+  };
+  if (pool_ == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) price(i);
+  } else {
+    pool_->parallel_for(n, price);
+  }
 }
 
 ModelEngine::CacheStats ModelEngine::cache_stats() const {

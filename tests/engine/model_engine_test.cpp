@@ -8,6 +8,7 @@
 #include <atomic>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <thread>
 
 #include "repro/core/partitioning.hpp"
@@ -1025,6 +1026,191 @@ TEST(ModelEngine, RejectsMismatchedPowerModelAndBadQueries) {
   q.assignment = core::Assignment::empty(4);
   q.assignment.per_core[0].push_back(7);  // unknown handle
   EXPECT_THROW(eng.predict(q), Error);
+}
+
+/// Copies `from` into a reused query field by field, as a QuerySource
+/// that fills its scratch does.
+const CoScheduleQuery& fill_from(const CoScheduleQuery& from,
+                                 CoScheduleQuery& scratch) {
+  scratch.assignment.per_core = from.assignment.per_core;
+  scratch.partition = from.partition;
+  scratch.warm_start = from.warm_start;
+  scratch.core_frequency = from.core_frequency;
+  return scratch;
+}
+
+/// Random queries with what-if clocks, warm starts and partitions mixed
+/// in, so a filled scratch carries every field from one query to the
+/// next.
+std::vector<CoScheduleQuery> mixed_queries(const sim::MachineConfig& machine,
+                                           std::size_t count,
+                                           std::size_t processes) {
+  std::vector<CoScheduleQuery> queries =
+      random_queries(count, processes, machine.cores, 0xD1CE);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    CoScheduleQuery& q = queries[i];
+    if (i % 3 == 1) {
+      q.core_frequency.assign(machine.cores, machine.dvfs_levels.front());
+      q.core_frequency[i % machine.cores] = machine.dvfs_levels.back();
+    }
+    if (i % 4 == 2)
+      q.warm_start.assign(q.assignment.process_count(), 3.0);
+    if (i % 5 == 3) {
+      // Way-partition die 0 evenly when it runs one process per core.
+      std::vector<std::uint32_t> quotas;
+      bool single = true;
+      for (CoreId c : machine.cores_on_die(0)) {
+        single = single && q.assignment.per_core[c].size() <= 1;
+        if (q.assignment.per_core[c].size() == 1) quotas.push_back(4);
+      }
+      if (single && !quotas.empty()) {
+        q.partition.resize(machine.dies);
+        q.partition[0] = quotas;
+      }
+    }
+  }
+  return queries;
+}
+
+TEST(ModelEngine, PredictEachMatchesPredictBatchBitForBit) {
+  const sim::MachineConfig machine = sim::four_core_server();
+  const auto profiles = suite();
+  const std::vector<CoScheduleQuery> queries =
+      mixed_queries(machine, 60, profiles.size());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(threads);
+    EngineOptions options;
+    options.threads = threads;
+    ModelEngine eng(machine, model(), options);
+    for (const auto& p : profiles) eng.register_process(p);
+    const auto snap = eng.snapshot();
+    const std::vector<SystemPrediction> batch =
+        eng.predict_batch(*snap, queries);
+
+    std::vector<SystemPrediction> filled(queries.size());
+    eng.predict_each(
+        *snap, queries.size(),
+        [&](std::size_t i, CoScheduleQuery& scratch)
+            -> const CoScheduleQuery& { return fill_from(queries[i], scratch); },
+        [&](std::size_t i, const SystemPrediction& p) { filled[i] = p; });
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      expect_bitwise_equal(filled[i], batch[i]);
+      EXPECT_EQ(filled[i].solver_iterations, batch[i].solver_iterations);
+      EXPECT_EQ(filled[i].solver_fallbacks, batch[i].solver_fallbacks);
+      expect_bitwise_equal(batch[i], eng.predict(*snap, queries[i]));
+    }
+  }
+}
+
+TEST(ModelEngine, PredictEachOfNothingCallsNothing) {
+  const sim::MachineConfig machine = sim::four_core_server();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    EngineOptions options;
+    options.threads = threads;
+    ModelEngine eng(machine, model(), options);
+    eng.register_process(suite()[0]);
+    int calls = 0;
+    eng.predict_each(
+        *eng.snapshot(), 0,
+        [&](std::size_t, CoScheduleQuery& scratch) -> const CoScheduleQuery& {
+          ++calls;
+          return scratch;
+        },
+        [&](std::size_t, const SystemPrediction&) { ++calls; });
+    EXPECT_EQ(calls, 0);
+  }
+}
+
+TEST(ModelEngine, PredictEachRethrowsSourceAndQueryErrors) {
+  const sim::MachineConfig machine = sim::four_core_server();
+  const auto profiles = suite();
+  const auto queries = random_queries(16, profiles.size(), machine.cores,
+                                      0xFACE);
+  CoScheduleQuery invalid = queries[0];
+  invalid.assignment.per_core[0].push_back(42);  // unknown handle
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(threads);
+    EngineOptions options;
+    options.threads = threads;
+    ModelEngine eng(machine, model(), options);
+    for (const auto& p : profiles) eng.register_process(p);
+    const auto snap = eng.snapshot();
+    const auto ignore = [](std::size_t, const SystemPrediction&) {};
+
+    EXPECT_THROW(
+        eng.predict_each(
+            *snap, queries.size(),
+            [&](std::size_t i, CoScheduleQuery&) -> const CoScheduleQuery& {
+              if (i == 9) throw std::runtime_error("source failed");
+              return queries[i];
+            },
+            ignore),
+        std::runtime_error);
+    EXPECT_THROW(
+        eng.predict_each(
+            *snap, queries.size(),
+            [&](std::size_t i, CoScheduleQuery&) -> const CoScheduleQuery& {
+              return i == 5 ? invalid : queries[i];
+            },
+            ignore),
+        Error);
+
+    // Nothing is left on loan: the engine prices normally afterwards.
+    const std::vector<SystemPrediction> clean = eng.predict_batch(queries);
+    for (std::size_t i = 0; i < queries.size(); ++i)
+      expect_bitwise_equal(clean[i], eng.predict(queries[i]));
+  }
+}
+
+TEST(ModelEngine, ReusedScratchLeaksNothingBetweenQueries) {
+  // On an inline engine every index prices on the caller's thread, so
+  // both queries go through one scratch query and one scratch
+  // prediction: a 3-process time-shared, warm-started, re-clocked query
+  // and a 1-process default one, in both orders.
+  const sim::MachineConfig machine = sim::four_core_server();
+  const auto profiles = suite();
+  EngineOptions options;
+  options.threads = 1;
+  ModelEngine eng(machine, model(), options);
+  for (const auto& p : profiles) eng.register_process(p);
+
+  CoScheduleQuery big;
+  big.assignment = core::Assignment::empty(machine.cores);
+  big.assignment.per_core[0] = {0, 1};
+  big.assignment.per_core[2] = {2};
+  big.warm_start = {5.0, 5.0, 6.0};
+  big.core_frequency.assign(machine.cores, machine.dvfs_levels.front());
+  CoScheduleQuery small;
+  small.assignment = core::Assignment::empty(machine.cores);
+  small.assignment.per_core[3] = {4};
+
+  for (const bool big_first : {true, false}) {
+    SCOPED_TRACE(big_first);
+    const CoScheduleQuery* order[2] = {&big, &small};
+    if (!big_first) std::swap(order[0], order[1]);
+    // Each prediction is compared with a fresh ModelEngine::predict
+    // inside the sink, while the scratch still holds it.
+    std::vector<const CoScheduleQuery*> scratches;
+    int checked = 0;
+    eng.predict_each(
+        *eng.snapshot(), 2,
+        [&](std::size_t i, CoScheduleQuery& scratch)
+            -> const CoScheduleQuery& {
+          scratches.push_back(&scratch);
+          return fill_from(*order[i], scratch);
+        },
+        [&](std::size_t i, const SystemPrediction& p) {
+          const SystemPrediction fresh = eng.predict(*order[i]);
+          expect_bitwise_equal(p, fresh);
+          EXPECT_EQ(p.solver_iterations, fresh.solver_iterations);
+          EXPECT_EQ(p.processes.size(),
+                    order[i]->assignment.process_count());
+          ++checked;
+        });
+    EXPECT_EQ(checked, 2);
+    ASSERT_EQ(scratches.size(), 2u);
+    EXPECT_EQ(scratches[0], scratches[1]);
+  }
 }
 
 }  // namespace

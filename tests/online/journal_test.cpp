@@ -357,8 +357,9 @@ TEST(Journal, KillAtEveryFrameRecoversByteIdenticalState) {
     EXPECT_EQ(report.durable_bytes, cut);
     EXPECT_EQ(state_key(engine), ref.state_after[kill])
         << "kill point " << kill << " diverged from the uncrashed run";
-    if (kill > 0)
+    if (kill > 0) {
       EXPECT_EQ(report.next_seq, clean.records[kill - 1].seq + 1);
+    }
   }
 }
 

@@ -129,8 +129,9 @@ TEST(PowerRefitter, CleanStreamIsQualityGatedNotChurned) {
         model_power(incumbent, r) * rng.uniform(0.2, 5.0);
     const auto attempt =
         refit.push(sample_with(0.03 * i, r, garbled), incumbent);
-    if (attempt.has_value() && !attempt->accepted)
+    if (attempt.has_value() && !attempt->accepted) {
       EXPECT_FALSE(attempt->reason.empty());
+    }
   }
 }
 
