@@ -10,9 +10,10 @@
 //
 // A fourth, mixed arm runs predict_batch while a writer thread applies
 // a continuous stream of try_apply revisions to a process no query
-// references. Epoch snapshots make the read path wait-free, so the
-// busy run must stay within 10% of the revision-free run and produce
-// bit-identical predictions. The same workload through a bench-local
+// references. A batch takes the engine's builder lock once, to copy the
+// snapshot pointer, and then prices against that epoch without it, so
+// the busy run must stay within 10% of the revision-free run and
+// produce bit-identical predictions. The same workload through a bench-local
 // reader/writer lock — the composition the snapshot API retired —
 // shows what the old locked path cost under churn.
 //
@@ -267,8 +268,9 @@ int run(bool quick) {
   // --- Mixed arm: predict_batch under concurrent revisions. ---
   // The writer hammers a process no query references, so the readers'
   // entries are untouched across epochs: the busy sweep must match the
-  // quiet sweep bit for bit, and — because snapshot reads never take
-  // the builder lock — run at essentially the same speed.
+  // quiet sweep bit for bit, and — because a batch takes the builder
+  // lock only to copy the snapshot pointer — run at essentially the
+  // same speed.
   engine::ModelEngine mixed(machine, power, serial_options);
   for (const auto& p : profiles) mixed.register_process(p);
   const engine::ProcessHandle victim =
@@ -393,8 +395,8 @@ int run(bool quick) {
                  speedup, hw);
     return 1;
   }
-  // Snapshot reads never touch the builder lock, so revision churn may
-  // cost at most scheduler noise: 10% is the contract from ISSUE 6.
+  // A batch holds the builder lock only for one pointer copy, so
+  // revision churn may cost at most scheduler noise: 10%.
   if (hw >= 4 && busy_s > 1.1 * quiet_s) {
     std::fprintf(stderr,
                  "FAIL: busy sweep %.3fs is more than 10%% slower than "

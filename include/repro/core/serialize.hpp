@@ -39,15 +39,12 @@
 
 namespace repro::core {
 
-void write_profile(std::ostream& os, const ProcessProfile& profile);
-/// String-building variants of the writers: same bytes, no stream in
-/// the loop. The journal encodes a record per applied revision, so its
-/// hot path appends straight into the frame buffer.
+/// The record writers every store, checkpoint and journal frame is
+/// built from: each appends one record's bytes to `out`. The journal
+/// encodes a record per applied revision, so its hot path appends
+/// straight into the frame buffer.
 void append_profile(std::string& out, const ProcessProfile& profile);
 void append_power_model(std::string& out, const PowerModel& model);
-void write_profiles(std::ostream& os,
-                    const std::vector<ProcessProfile>& profiles);
-void write_power_model(std::ostream& os, const PowerModel& model);
 
 /// Parse every record in the stream. Throws repro::Error on malformed
 /// input. Returns all profiles plus the last power model, if any.
@@ -67,10 +64,6 @@ std::optional<ModelStore> load_store(const std::string& path);
 /// durability tests define "byte-identical engine state" over this
 /// serialization (max_digits10 gives doubles an exact round-trip).
 std::string write_store_text(const ModelStore& store);
-
-/// save_store via temp-file + fsync + rename: a crashed writer leaves
-/// either the old complete store or the new one, never a torn mix.
-void save_store_atomic(const std::string& path, const ModelStore& store);
 
 /// Counters a checkpoint freezes alongside the store body.
 ///   epoch           engine snapshot epoch at checkpoint time

@@ -16,18 +16,18 @@
 // composition, independent of thread count — candidates are pure
 // functions of the registered profiles.
 //
-// Concurrency model (ISSUE 6): engine state is published as immutable
-// RCU-style *epoch snapshots*. snapshot() hands back a
-// shared_ptr<const EngineSnapshot> holding one consistent (profiles,
-// memoized artifacts, power model) triple; predict()/predict_batch()
-// resolve a snapshot once and run entirely against it, so the read
-// path is wait-free — it never touches a lock, and a revision landing
-// mid-batch cannot tear or stall it. Writers (register_process,
-// try_apply, restore) serialize on a builder mutex, assemble
-// the next snapshot off to the side, and publish it with a single
-// atomic pointer swap. Validation happens before any builder state is
-// touched: a rejected revision publishes nothing and the last-good
-// snapshot stays current.
+// Concurrency model: engine state is published as immutable epoch
+// snapshots. snapshot() hands back a shared_ptr<const EngineSnapshot>
+// holding one consistent (profiles, memoized artifacts, power model)
+// triple; predict()/predict_batch() resolve a snapshot once and run
+// entirely against it, so a revision landing mid-batch cannot tear or
+// stall it. The engine holds its state once, as the current snapshot
+// pointer, guarded by builder_mutex_: a reader copies that pointer
+// under the lock (one lock per predict, batch or plan, never per
+// candidate). Writers (register_process, try_apply, restore) copy the
+// current snapshot into a draft, edit the draft, and swap it in under
+// the same lock. Validation happens before the swap: a rejected
+// revision publishes nothing and the last-good snapshot stays current.
 //
 // Contention semantics: one CPU-share-weighted equilibrium per die over
 // all of the die's processes (a time-shared process's lines stay
@@ -264,9 +264,9 @@ class EngineSnapshot {
   const Entry& entry_of(ProcessHandle handle) const;
 
   /// Slots are positional (handle == index). Entries are shared with
-  /// the builder and with neighbouring snapshots — only replaced
-  /// registrations get a fresh Entry (and with it a fresh once_flag,
-  /// which is what invalidates the memoized curves).
+  /// neighbouring snapshots — only replaced registrations get a fresh
+  /// Entry (and with it a fresh once_flag, which is what invalidates
+  /// the memoized curves).
   std::vector<std::shared_ptr<const Entry>> registry_;
   std::unordered_map<std::string, ProcessHandle> by_name_;
   std::optional<core::PowerModel> power_;
@@ -327,9 +327,10 @@ class ModelEngine {
                std::optional<core::PowerModel> power,
                std::uint64_t power_revision, std::uint64_t epoch);
 
-  /// The current published snapshot — wait-free, never null. Hold it
-  /// to pin one consistent (profiles, artifacts, power model) triple
-  /// across any number of concurrent revisions.
+  /// The current published snapshot, never null: one pointer copy
+  /// under builder_mutex_. Hold it to pin one consistent (profiles,
+  /// artifacts, power model) triple across any number of concurrent
+  /// revisions.
   std::shared_ptr<const EngineSnapshot> snapshot() const;
 
   /// Handle of a registered process, if any.
@@ -423,11 +424,9 @@ class ModelEngine {
   void predict_on(const EngineSnapshot& snapshot, const CoScheduleQuery& query,
                   detail::PricingScratch& scratch,
                   SystemPrediction& out) const;
-  void install(ProcessHandle handle, core::ProcessProfile profile)
-      REPRO_REQUIRES(builder_mutex_);
-  /// Assemble the next snapshot from the builder state and publish it
-  /// with one atomic pointer store (epoch + 1).
-  void publish() REPRO_REQUIRES(builder_mutex_);
+  /// Swap `draft` in as the current snapshot, at epoch
+  /// max(current + 1, the draft's epoch).
+  void publish(EngineSnapshot draft) REPRO_REQUIRES(builder_mutex_);
 
   sim::MachineConfig machine_ REPRO_CONST_AFTER_INIT;
   EngineOptions options_ REPRO_CONST_AFTER_INIT;
@@ -436,24 +435,12 @@ class ModelEngine {
   /// the pool synchronizes itself.
   std::unique_ptr<common::ThreadPool> pool_ REPRO_CONST_AFTER_INIT;
 
-  /// Builder-side lock: serializes writers (registration, try_apply,
-  /// restore) over the mutable copy of the registry that the next
-  /// snapshot is assembled from. Readers never take it — they go through the
-  /// published snapshot — so a GUARDED_BY proof below is a statement
-  /// about the *builder*, not about the read path.
+  /// Guards the current snapshot pointer: writers (registration,
+  /// try_apply, restore) hold it from copying the draft to swapping it
+  /// in, readers only to copy the pointer out.
   mutable common::Mutex builder_mutex_{common::LockRank::kEngineBuilder};
-  std::vector<std::shared_ptr<const Entry>> registry_
+  std::shared_ptr<const EngineSnapshot> current_
       REPRO_GUARDED_BY(builder_mutex_);
-  std::unordered_map<std::string, ProcessHandle> by_name_
-      REPRO_GUARDED_BY(builder_mutex_);
-  std::optional<core::PowerModel> power_ REPRO_GUARDED_BY(builder_mutex_);
-  std::uint64_t power_revision_ REPRO_GUARDED_BY(builder_mutex_) = 0;
-  std::uint64_t epoch_ REPRO_GUARDED_BY(builder_mutex_) = 0;
-
-  /// The current epoch snapshot. store(release) under builder_mutex_,
-  /// load(acquire) from any thread — the only writer/reader meeting
-  /// point on the predict path.
-  std::atomic<std::shared_ptr<const EngineSnapshot>> published_;
 
   mutable std::atomic<std::uint64_t> cache_hits_{0};
   mutable std::atomic<std::uint64_t> cache_misses_{0};

@@ -2,13 +2,13 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 
 #include "repro/common/crc32c.hpp"
-#include "repro/common/durable_file.hpp"
 #include "repro/common/ensure.hpp"
 
 namespace repro::core {
@@ -45,6 +45,13 @@ void append_doubles(std::string& out, const char* key,
   out += '\n';
 }
 
+/// The store body every writer shares: each profile, then the power
+/// model if there is one.
+void append_store_body(std::string& out, const ModelStore& store) {
+  for (const ProcessProfile& p : store.profiles) append_profile(out, p);
+  if (store.power_model) append_power_model(out, *store.power_model);
+}
+
 std::vector<double> parse_doubles(std::istringstream& is,
                                   const std::string& context) {
   std::vector<double> out;
@@ -55,12 +62,6 @@ std::vector<double> parse_doubles(std::istringstream& is,
 }
 
 }  // namespace
-
-void write_profile(std::ostream& os, const ProcessProfile& p) {
-  std::string out;
-  append_profile(out, p);
-  os.write(out.data(), static_cast<std::streamsize>(out.size()));
-}
 
 void append_profile(std::string& out, const ProcessProfile& p) {
   REPRO_ENSURE(p.name.find_first_of(" \n") == std::string::npos,
@@ -108,17 +109,6 @@ void append_profile(std::string& out, const ProcessProfile& p) {
   append_doubles(out, "mpa_curve", p.mpa_at_ways);
   append_doubles(out, "spi_curve", p.spi_at_ways);
   out += "end\n";
-}
-
-void write_profiles(std::ostream& os,
-                    const std::vector<ProcessProfile>& profiles) {
-  for (const ProcessProfile& p : profiles) write_profile(os, p);
-}
-
-void write_power_model(std::ostream& os, const PowerModel& model) {
-  std::string out;
-  append_power_model(out, model);
-  os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 void append_power_model(std::string& out, const PowerModel& model) {
@@ -297,9 +287,8 @@ ModelStore read_store(std::istream& is) {
 void save_store(const std::string& path, const ModelStore& store) {
   std::ofstream os(path);
   REPRO_ENSURE(os.good(), "cannot open for writing: " + path);
-  os << "# cmp_models store — profiles and power model\n";
-  write_profiles(os, store.profiles);
-  if (store.power_model) write_power_model(os, *store.power_model);
+  const std::string text = write_store_text(store);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
   REPRO_ENSURE(os.good(), "write failed: " + path);
 }
 
@@ -310,30 +299,26 @@ std::optional<ModelStore> load_store(const std::string& path) {
 }
 
 std::string write_store_text(const ModelStore& store) {
-  std::ostringstream os;
-  os << "# cmp_models store — profiles and power model\n";
-  write_profiles(os, store.profiles);
-  if (store.power_model) write_power_model(os, *store.power_model);
-  return std::move(os).str();
-}
-
-void save_store_atomic(const std::string& path, const ModelStore& store) {
-  common::atomic_write_file(path, write_store_text(store));
+  std::string out = "# cmp_models store — profiles and power model\n";
+  append_store_body(out, store);
+  return out;
 }
 
 std::string write_checkpoint_text(const CheckpointMeta& meta,
                                   const ModelStore& store) {
-  std::ostringstream os;
-  os << "# cmp_models checkpoint\n";
-  os << "checkpoint v1 epoch " << meta.epoch << " power_revision "
-     << meta.power_revision << " journal_next " << meta.journal_next << '\n';
-  write_profiles(os, store.profiles);
-  if (store.power_model) write_power_model(os, *store.power_model);
-  std::string body = std::move(os).str();
-  std::ostringstream footer;
-  footer << "checksum crc32c " << std::hex << std::setw(8)
-         << std::setfill('0') << common::crc32c(body) << '\n';
-  return body + std::move(footer).str();
+  std::string out = "# cmp_models checkpoint\ncheckpoint v1 epoch ";
+  append_u64(out, meta.epoch);
+  out += " power_revision ";
+  append_u64(out, meta.power_revision);
+  out += " journal_next ";
+  append_u64(out, meta.journal_next);
+  out += '\n';
+  append_store_body(out, store);
+  char footer[32];
+  std::snprintf(footer, sizeof footer, "checksum crc32c %08x\n",
+                static_cast<unsigned>(common::crc32c(out)));
+  out += footer;
+  return out;
 }
 
 Checkpoint read_checkpoint(std::string_view text) {

@@ -1,5 +1,6 @@
 #include "repro/engine/model_engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -32,18 +33,29 @@ std::vector<ProcessHandle> EngineSnapshot::live_handles() const {
   return handles;
 }
 
+namespace {
+
+/// Name the features after the process and validate them, before any
+/// lock is taken: a bad histogram or SPI law fails here with the
+/// process named, not deep inside a later fill-curve integral.
+void normalize(core::ProcessProfile& profile) {
+  REPRO_ENSURE(!profile.name.empty(), "process needs a name");
+  if (profile.features.name.empty()) profile.features.name = profile.name;
+  profile.features.validate();
+}
+
+}  // namespace
+
 ModelEngine::ModelEngine(sim::MachineConfig machine, EngineOptions options)
     : machine_(std::move(machine)),
       options_(options),
-      solver_(machine_.l2.ways, options_.equilibrium) {
+      solver_(machine_.l2.ways, options_.equilibrium),
+      // The initial snapshot is empty, at epoch 0, so snapshot() is
+      // never null.
+      current_(std::make_shared<const EngineSnapshot>()) {
   machine_.validate();
   if (options_.threads != 1)
     pool_ = std::make_unique<common::ThreadPool>(options_.threads);
-  // Publish the initial (empty, epoch 0) snapshot so snapshot() is
-  // never null.
-  common::MutexLock lock(builder_mutex_);
-  auto snap = std::make_shared<EngineSnapshot>();
-  published_.store(std::move(snap), std::memory_order_release);
 }
 
 ModelEngine::ModelEngine(sim::MachineConfig machine, core::PowerModel power,
@@ -52,24 +64,23 @@ ModelEngine::ModelEngine(sim::MachineConfig machine, core::PowerModel power,
   REPRO_ENSURE(power.cores() == machine_.cores,
                "power model trained for a different core count");
   common::MutexLock lock(builder_mutex_);
-  power_.emplace(std::move(power));
-  publish();
+  EngineSnapshot draft = *current_;
+  draft.power_.emplace(std::move(power));
+  publish(std::move(draft));
 }
 
 ModelEngine::~ModelEngine() = default;
 
 std::shared_ptr<const EngineSnapshot> ModelEngine::snapshot() const {
-  return published_.load(std::memory_order_acquire);
+  common::MutexLock lock(builder_mutex_);
+  return current_;
 }
 
-void ModelEngine::publish() {
-  auto snap = std::make_shared<EngineSnapshot>();
-  snap->registry_ = registry_;  // shared entries: cheap pointer copies
-  snap->by_name_ = by_name_;
-  snap->power_ = power_;
-  snap->power_revision_ = power_revision_;
-  snap->epoch_ = ++epoch_;
-  published_.store(std::move(snap), std::memory_order_release);
+void ModelEngine::publish(EngineSnapshot draft) {
+  // The draft's registry shares every unchanged Entry with the current
+  // snapshot: copying it copied pointers, not profiles or curves.
+  draft.epoch_ = std::max(current_->epoch_ + 1, draft.epoch_);
+  current_ = std::make_shared<const EngineSnapshot>(std::move(draft));
 }
 
 bool ModelEngine::has_power_model() const {
@@ -85,46 +96,27 @@ std::uint64_t ModelEngine::power_revision() const {
 }
 
 ProcessHandle ModelEngine::register_process(core::ProcessProfile profile) {
-  REPRO_ENSURE(!profile.name.empty(), "process needs a name");
-  if (profile.features.name.empty()) profile.features.name = profile.name;
-  // Validate up front: a bad histogram or SPI law fails here with the
-  // process named, not deep inside a later fill-curve integral.
-  profile.features.validate();
+  normalize(profile);
 
   common::MutexLock lock(builder_mutex_);
-  const auto it = by_name_.find(profile.name);
-  if (it != by_name_.end()) {
+  EngineSnapshot draft = *current_;
+  ProcessHandle handle = 0;
+  const auto it = draft.by_name_.find(profile.name);
+  if (it != draft.by_name_.end()) {
     // Replacement: same handle, fresh Entry — the embedded once_flag is
     // what invalidates the memoized artifacts. The old Entry stays
     // alive for as long as some snapshot still references it.
-    registry_[it->second] = std::make_shared<Entry>(std::move(profile));
+    handle = it->second;
+    draft.registry_[handle] = std::make_shared<Entry>(std::move(profile));
     // relaxed: monitoring counter; no reader orders state off it.
     cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
-    publish();
-    return it->second;
+  } else {
+    handle = static_cast<ProcessHandle>(draft.registry_.size());
+    draft.by_name_.emplace(profile.name, handle);
+    draft.registry_.push_back(std::make_shared<Entry>(std::move(profile)));
   }
-  const auto handle = static_cast<ProcessHandle>(registry_.size());
-  by_name_.emplace(profile.name, handle);
-  registry_.push_back(std::make_shared<Entry>(std::move(profile)));
-  publish();
+  publish(std::move(draft));
   return handle;
-}
-
-void ModelEngine::install(ProcessHandle handle, core::ProcessProfile profile) {
-  REPRO_ENSURE(handle < registry_.size(), "unknown process handle");
-  const std::string old_name = registry_[handle]->profile.name;
-  if (profile.name != old_name) {
-    const auto it = by_name_.find(profile.name);
-    REPRO_ENSURE(it == by_name_.end() || it->second == handle,
-                 "rename collides with another registered process");
-    by_name_.erase(old_name);
-    by_name_.emplace(profile.name, handle);
-  }
-  // Fresh Entry = fresh once_flag: the next prediction that touches
-  // this handle rebuilds the fill curve from the new revision.
-  registry_[handle] = std::make_shared<Entry>(std::move(profile));
-  // relaxed: monitoring counter; no reader orders state off it.
-  cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 ApplyResult ModelEngine::try_apply(Revision revision) {
@@ -142,13 +134,11 @@ ApplyResult ModelEngine::try_apply(Revision revision) {
   if (has_profile) {
     core::ProcessProfile profile = std::move(revision.profile->profile);
     const ProcessHandle handle = revision.profile->handle;
-    // Validate before taking the builder lock or mutating anything: a
+    // Validate before taking the builder lock or touching the draft: a
     // refusal leaves the registry, the name index, and every memoized
     // artifact exactly as they were, and publishes nothing.
     try {
-      REPRO_ENSURE(!profile.name.empty(), "process needs a name");
-      if (profile.features.name.empty()) profile.features.name = profile.name;
-      profile.features.validate();
+      normalize(profile);
       // Fit-frequency gate: Eq. 3 only holds at the clock the profile
       // was fitted at, so a revision fitted at a clock this machine
       // cannot run at would silently mis-predict every query. Legacy
@@ -160,12 +150,27 @@ ApplyResult ModelEngine::try_apply(Revision revision) {
                        " Hz, which is not an operating point of machine '" +
                        machine_.name + "'");
       common::MutexLock lock(builder_mutex_);
-      // install() still validates handle/rename under the lock; those
-      // checks need the builder state but run before any mutation.
-      install(handle, std::move(profile));
-      publish();
+      // The handle and rename checks need the current registry, so
+      // they run under the lock — still before anything is published.
+      REPRO_ENSURE(handle < current_->registry_.size(),
+                   "unknown process handle");
+      EngineSnapshot draft = *current_;
+      const std::string old_name = draft.registry_[handle]->profile.name;
+      if (profile.name != old_name) {
+        const auto it = draft.by_name_.find(profile.name);
+        REPRO_ENSURE(it == draft.by_name_.end() || it->second == handle,
+                     "rename collides with another registered process");
+        draft.by_name_.erase(old_name);
+        draft.by_name_.emplace(profile.name, handle);
+      }
+      // Fresh Entry = fresh once_flag: the next prediction that touches
+      // this handle rebuilds the fill curve from the new revision.
+      draft.registry_[handle] = std::make_shared<Entry>(std::move(profile));
+      // relaxed: monitoring counter; no reader orders state off it.
+      cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
+      publish(std::move(draft));
       result.applied = true;
-      result.epoch = epoch_;
+      result.epoch = current_->epoch_;
     } catch (const Error& e) {
       result.reason = e.what();
       result.epoch = snapshot()->epoch();
@@ -185,60 +190,58 @@ ApplyResult ModelEngine::try_apply(Revision revision) {
         break;
       }
   }
-  if (result.reason.empty()) {
-    common::MutexLock lock(builder_mutex_);
-    if (!power_.has_value()) {
-      result.reason =
-          "cannot revise power on an engine built without a power model";
-      result.epoch = epoch_;
-    } else {
-      power_.emplace(std::move(power));
-      ++power_revision_;
-      publish();
-      result.applied = true;
-      result.epoch = epoch_;
-    }
+  if (!result.reason.empty()) {
+    result.epoch = snapshot()->epoch();
     return result;
   }
-  result.epoch = snapshot()->epoch();
+  common::MutexLock lock(builder_mutex_);
+  if (!current_->power_.has_value()) {
+    result.reason =
+        "cannot revise power on an engine built without a power model";
+  } else {
+    EngineSnapshot draft = *current_;
+    draft.power_.emplace(std::move(power));
+    ++draft.power_revision_;
+    publish(std::move(draft));
+    result.applied = true;
+  }
+  result.epoch = current_->epoch_;
   return result;
 }
 
 void ModelEngine::restore(std::vector<core::ProcessProfile> profiles,
                           std::optional<core::PowerModel> power,
                           std::uint64_t power_revision, std::uint64_t epoch) {
-  // Validate everything before taking the lock: a refused restore must
-  // leave the fresh engine exactly as constructed.
-  for (core::ProcessProfile& p : profiles) {
-    REPRO_ENSURE(!p.name.empty(), "process needs a name");
-    if (p.features.name.empty()) p.features.name = p.name;
-    p.features.validate();
-  }
+  // Validate the payload before taking the lock; every refusal below
+  // throws before publish(), so a refused restore leaves the fresh
+  // engine exactly as constructed.
+  for (core::ProcessProfile& p : profiles) normalize(p);
   if (power.has_value())
     REPRO_ENSURE(power->cores() == machine_.cores,
                  "checkpoint power model trained for a different core count");
 
   common::MutexLock lock(builder_mutex_);
-  REPRO_ENSURE(registry_.empty() && power_revision_ == 0,
+  REPRO_ENSURE(current_->registry_.empty() && current_->power_revision_ == 0,
                "restore requires a freshly-constructed engine");
+  EngineSnapshot draft = *current_;
   if (power.has_value()) {
     REPRO_ENSURE(
-        power_.has_value(),
+        draft.power_.has_value(),
         "checkpoint carries a power model but the engine was built "
         "without one");
-    power_.emplace(std::move(*power));
+    draft.power_.emplace(std::move(*power));
   }
   for (core::ProcessProfile& p : profiles) {
-    const auto handle = static_cast<ProcessHandle>(registry_.size());
-    REPRO_ENSURE(by_name_.emplace(p.name, handle).second,
+    const auto handle = static_cast<ProcessHandle>(draft.registry_.size());
+    REPRO_ENSURE(draft.by_name_.emplace(p.name, handle).second,
                  "checkpoint registers a duplicate name: " + p.name);
-    registry_.push_back(std::make_shared<Entry>(std::move(p)));
+    draft.registry_.push_back(std::make_shared<Entry>(std::move(p)));
   }
-  power_revision_ = power_revision;
-  // publish() bumps epoch_ by one; land at `epoch` or later so the
-  // counter never moves backwards across a crash.
-  if (epoch > 0 && epoch - 1 > epoch_) epoch_ = epoch - 1;
-  publish();
+  draft.power_revision_ = power_revision;
+  // publish() lands at max(current + 1, `epoch`), so the counter never
+  // moves backwards across a crash.
+  draft.epoch_ = epoch;
+  publish(std::move(draft));
 }
 
 std::optional<ProcessHandle> ModelEngine::find(const std::string& name) const {

@@ -135,8 +135,8 @@ ShardedPipeline::~ShardedPipeline() {
 
 void ShardedPipeline::monitor(ProcessId pid, DieId die,
                               engine::ProcessHandle handle) {
-  // The baseline comes from the engine's current snapshot — a
-  // lock-free read, so no lock-order interaction with mutex_.
+  // The baseline comes from the engine's current snapshot; nothing is
+  // held here, so the builder lock nests under no pipeline lock.
   const core::ProcessProfile baseline = engine_.profile(handle);
   auto builder =
       std::make_unique<ProfileBuilder>(baseline.name, options_.builder);
@@ -597,8 +597,8 @@ void ShardedPipeline::refit_group_locked(
 
 void ShardedPipeline::refit_power_locked(const sim::Sample& sample) {
   // Refits revise an existing calibration; a performance-only engine
-  // has nothing to revise. Both reads resolve against the engine's
-  // current snapshot — lock-free, no lock-order interaction.
+  // has nothing to revise. Both reads copy the engine's current
+  // snapshot pointer under its builder lock, which ranks above mutex_.
   if (!engine_.has_power_model()) return;
   const core::PowerModel incumbent = engine_.power_model();
   std::optional<PowerRefitAttempt> attempt =

@@ -49,7 +49,8 @@ WorkloadSpec microbench_spec(MicrobenchComponent component, int level) {
       s.mix.fp_pi = 0.70 * f + 0.02;
       break;
   }
-  s.name += "-" + std::to_string(level);
+  s.name += '-';
+  s.name += std::to_string(level);
   s.validate();
   return s;
 }

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "repro/common/rng.hpp"
 #include "repro/core/fill_model.hpp"
@@ -95,8 +97,11 @@ TEST_P(PropertySweep, EquilibriumConservesWaysAndStaysPhysical) {
   Rng rng(GetParam() ^ 0x44);
   const std::size_t k = 2 + rng.uniform_index(3);  // 2..4 processes
   std::vector<FeatureVector> procs;
-  for (std::size_t i = 0; i < k; ++i)
-    procs.push_back(random_feature(rng, "p" + std::to_string(i)));
+  for (std::size_t i = 0; i < k; ++i) {
+    std::string name = "p";
+    name += std::to_string(i);
+    procs.push_back(random_feature(rng, std::move(name)));
+  }
 
   const EquilibriumSolver solver(16);
   const auto pred = solver.solve(procs);
@@ -154,8 +159,9 @@ TEST_P(PropertySweep, SerializationRoundTripsRandomProfiles) {
     p.spi_at_ways.push_back(rng.uniform(3e-10, 3e-9));
   }
 
-  std::stringstream ss;
-  write_profile(ss, p);
+  std::string text;
+  append_profile(text, p);
+  std::stringstream ss(text);
   const ModelStore store = read_store(ss);
   ASSERT_EQ(store.profiles.size(), 1u);
   const ProcessProfile& q = store.profiles[0];

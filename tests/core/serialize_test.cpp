@@ -29,10 +29,16 @@ ProcessProfile sample_profile(const std::string& name) {
   return p;
 }
 
+/// One profile record, as a stream read_store parses.
+std::stringstream record_stream(const ProcessProfile& p) {
+  std::string text;
+  append_profile(text, p);
+  return std::stringstream(text);
+}
+
 TEST(Serialize, ProfileRoundTripsExactly) {
   const ProcessProfile original = sample_profile("vpr");
-  std::stringstream ss;
-  write_profile(ss, original);
+  std::stringstream ss = record_stream(original);
   const ModelStore store = read_store(ss);
   ASSERT_EQ(store.profiles.size(), 1u);
   const ProcessProfile& p = store.profiles[0];
@@ -57,8 +63,7 @@ TEST(Serialize, FitFrequencyRoundTripsExactly) {
   ProcessProfile original = sample_profile("art");
   const double fit = 24e8;
   original.features.fit_frequency = fit;
-  std::stringstream ss;
-  write_profile(ss, original);
+  std::stringstream ss = record_stream(original);
   const ModelStore store = read_store(ss);
   ASSERT_EQ(store.profiles.size(), 1u);
   EXPECT_DOUBLE_EQ(store.profiles[0].features.fit_frequency, fit);
@@ -70,8 +75,7 @@ TEST(Serialize, LegacyStoreWithoutFitFrequencyStillLoads) {
   // legacy profile must serialize byte-identically to the seed era
   // (no fit_frequency line emitted for the sentinel).
   ProcessProfile legacy = sample_profile("vpr");
-  std::stringstream ss;
-  write_profile(ss, legacy);
+  std::stringstream ss = record_stream(legacy);
   EXPECT_EQ(ss.str().find("fit_frequency"), std::string::npos);
   const ModelStore store = read_store(ss);
   ASSERT_EQ(store.profiles.size(), 1u);
@@ -80,9 +84,8 @@ TEST(Serialize, LegacyStoreWithoutFitFrequencyStillLoads) {
 
 TEST(Serialize, RejectsNonPositiveFitFrequency) {
   ProcessProfile p = sample_profile("gzip");
-  std::stringstream good;
-  write_profile(good, p);
-  std::string text = good.str();
+  std::string text;
+  append_profile(text, p);
   text.insert(text.find("api "), "fit_frequency -2e9\n");
   std::stringstream bad(text);
   EXPECT_THROW(read_store(bad), Error);
@@ -93,9 +96,7 @@ TEST(Serialize, MultipleProfilesAndModelRoundTrip) {
   original.profiles = {sample_profile("gzip"), sample_profile("mcf")};
   original.power_model.emplace(
       45.0, std::array<double, 5>{6e-9, 2e-8, -3e-7, 4e-9, 5e-9}, 4);
-  std::stringstream ss;
-  write_profiles(ss, original.profiles);
-  write_power_model(ss, *original.power_model);
+  std::stringstream ss(write_store_text(original));
 
   const ModelStore store = read_store(ss);
   EXPECT_EQ(store.profiles.size(), 2u);
@@ -117,8 +118,7 @@ TEST(Serialize, VersionedRevisionsRoundTrip) {
     p.revision = rev;
     original.profiles.push_back(std::move(p));
   }
-  std::stringstream ss;
-  write_profiles(ss, original.profiles);
+  std::stringstream ss(write_store_text(original));
   const ModelStore store = read_store(ss);
   ASSERT_EQ(store.profiles.size(), original.profiles.size());
   for (std::size_t i = 0; i < original.profiles.size(); ++i)
@@ -127,8 +127,7 @@ TEST(Serialize, VersionedRevisionsRoundTrip) {
 
 TEST(Serialize, MissingRevisionReadsAsBatchProfile) {
   // Seed-era stores predate the revision key; they parse as rev 0.
-  std::stringstream ss;
-  write_profile(ss, sample_profile("legacy"));
+  std::stringstream ss = record_stream(sample_profile("legacy"));
   EXPECT_EQ(ss.str().find("revision"), std::string::npos)
       << "revision 0 must not be written (byte-compat with old stores)";
   const ModelStore store = read_store(ss);
@@ -137,10 +136,10 @@ TEST(Serialize, MissingRevisionReadsAsBatchProfile) {
 }
 
 TEST(Serialize, IgnoresCommentsAndBlankLines) {
-  std::stringstream ss;
-  ss << "# comment\n\n";
-  write_profile(ss, sample_profile("art"));
-  ss << "\n# trailing comment\n";
+  std::string text = "# comment\n\n";
+  append_profile(text, sample_profile("art"));
+  text += "\n# trailing comment\n";
+  std::stringstream ss(text);
   const ModelStore store = read_store(ss);
   EXPECT_EQ(store.profiles.size(), 1u);
 }
@@ -191,8 +190,8 @@ TEST(Serialize, LoadMissingFileReturnsNullopt) {
 
 TEST(Serialize, RejectsWhitespaceInProfileName) {
   ProcessProfile p = sample_profile("bad name");
-  std::stringstream ss;
-  EXPECT_THROW(write_profile(ss, p), Error);
+  std::string text;
+  EXPECT_THROW(append_profile(text, p), Error);
 }
 
 // --- Corrupt-file corpus (ISSUE 3): every corruption class a store can
@@ -304,8 +303,7 @@ TEST(Serialize, CorpusBaselineParses) {
   const ModelStore store = read_store(ss);
   ASSERT_EQ(store.profiles.size(), 1u);
   // ...and what it parsed round-trips.
-  std::stringstream again;
-  write_profile(again, store.profiles[0]);
+  std::stringstream again = record_stream(store.profiles[0]);
   EXPECT_EQ(read_store(again).profiles.size(), 1u);
 }
 

@@ -266,6 +266,70 @@ TEST(ModelEngine, RestoreRefusesNonFreshEngineUntouched) {
   EXPECT_EQ(no_power.process_count(), 0u);
 }
 
+TEST(ModelEngine, EpochCountsEveryPublishAndNothingElse) {
+  const sim::MachineConfig machine = sim::four_core_server();
+  EXPECT_EQ(ModelEngine(machine).snapshot()->epoch(), 0u);
+
+  ModelEngine eng(machine, model());
+  const auto epoch = [&] { return eng.snapshot()->epoch(); };
+  EXPECT_EQ(epoch(), 1u) << "the power constructor publishes once";
+  const std::vector<core::ProcessProfile> profiles = suite();
+  eng.register_process(profiles[0]);
+  EXPECT_EQ(epoch(), 2u);
+  eng.register_process(profiles[1]);
+  EXPECT_EQ(epoch(), 3u);
+  eng.register_process(profiles[1]);  // re-registration
+  EXPECT_EQ(epoch(), 4u);
+  ApplyResult applied = eng.try_apply(Revision::process(0, profiles[0]));
+  ASSERT_TRUE(applied.applied) << applied.reason;
+  EXPECT_EQ(applied.epoch, 5u);
+  applied = eng.try_apply(Revision::power_model(model()));
+  ASSERT_TRUE(applied.applied) << applied.reason;
+  EXPECT_EQ(applied.epoch, 6u);
+  EXPECT_EQ(epoch(), 6u);
+
+  // Every refusal reports the current epoch and publishes nothing.
+  const auto refused = [&](Revision revision, const char* label) {
+    const ApplyResult r = eng.try_apply(std::move(revision));
+    EXPECT_FALSE(r.applied) << label;
+    EXPECT_EQ(r.epoch, 6u) << label << ": " << r.reason;
+    EXPECT_EQ(epoch(), 6u) << label;
+  };
+  refused(Revision{}, "no payload");
+  Revision both = Revision::process(0, profiles[0]);
+  both.power.emplace(model());
+  refused(std::move(both), "both payloads");
+  core::ProcessProfile invalid = profiles[0];
+  invalid.features.api = 0.0;
+  refused(Revision::process(0, invalid), "invalid profile");
+  refused(Revision::process(99, profiles[0]), "unknown handle");
+  core::ProcessProfile collision = profiles[0];
+  collision.name = profiles[1].name;
+  collision.features.name.clear();
+  refused(Revision::process(0, collision), "rename collision");
+  core::ProcessProfile alien = profiles[0];
+  alien.features.fit_frequency = 123.0;
+  refused(Revision::process(0, alien), "fit-frequency mismatch");
+  refused(Revision::power_model(core::PowerModel(
+              45.0, {1e-9, 1e-9, 1e-9, 1e-9, 1e-9}, 2)),
+          "bad power model");
+
+  ModelEngine perf_only(machine);
+  const ApplyResult no_model =
+      perf_only.try_apply(Revision::power_model(model()));
+  EXPECT_FALSE(no_model.applied);
+  EXPECT_EQ(no_model.epoch, 0u);
+  EXPECT_EQ(perf_only.snapshot()->epoch(), 0u);
+
+  // restore lands at max(current + 1, checkpoint epoch).
+  ModelEngine ahead(machine, model());
+  ahead.restore({profiles[0]}, model(), 0, /*epoch=*/9);
+  EXPECT_EQ(ahead.snapshot()->epoch(), 9u);
+  ModelEngine behind(machine, model());
+  behind.restore({profiles[0]}, model(), 0, /*epoch=*/0);
+  EXPECT_EQ(behind.snapshot()->epoch(), 2u);
+}
+
 TEST(ModelEngine, MatchesDirectCompositionBitForBit) {
   const sim::MachineConfig machine = sim::four_core_server();
   const core::PowerModel power = model();

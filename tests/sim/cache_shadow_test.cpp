@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "repro/common/rng.hpp"
@@ -138,9 +139,14 @@ INSTANTIATE_TEST_SUITE_P(
                       ShadowCase{4, 12, 4, true, 7}),
     [](const ::testing::TestParamInfo<ShadowCase>& info) {
       const ShadowCase& c = info.param;
-      return "s" + std::to_string(c.sets) + "w" + std::to_string(c.ways) +
-             "p" + std::to_string(c.processes) +
-             (c.partitioned ? "_part" : "_lru");
+      std::string name = "s";
+      name += std::to_string(c.sets);
+      name += 'w';
+      name += std::to_string(c.ways);
+      name += 'p';
+      name += std::to_string(c.processes);
+      name += c.partitioned ? "_part" : "_lru";
+      return name;
     });
 
 }  // namespace
